@@ -109,6 +109,12 @@ var optQueries = []struct {
 	{"gram_chain", "SELECT SUM(matrix_multiply(matrix_multiply(trans_matrix(m), m), w)) AS s FROM gram"},
 }
 
+// resultBytes is the identity fingerprint: schema text plus the EncodeRows
+// codec bytes, so NaN payloads and signed zeros participate in equality.
+func resultBytes(res *core.Result) []byte {
+	return append([]byte(res.Schema.String()+"\n"), value.EncodeRows(res.Rows)...)
+}
+
 // optSweepDB opens a database with rewrites on or off and loads the chain and
 // gram tables. Entries are small integers, and every multiply in both the
 // written and the reordered association accumulates its cells from +0, so the

@@ -31,7 +31,7 @@ type StorageConfig struct {
 	PerNode   int
 	Seed      int64
 	PageBytes int
-	BatchSize int // 0 = row executor; the sweep runs the batch executor when > 0
+	BatchSize int // executor window (core.Config.BatchSize); 0 = the default
 	// PoolBudgets are the BufferPoolBytes settings to sweep, largest first
 	// (the baseline); the smallest must be well below the table size so the
 	// sweep actually exercises eviction.

@@ -19,7 +19,7 @@ type AggState interface {
 }
 
 // DoubleStepper is an optional AggState fast path. StepDouble(x) must be
-// observably identical to Step(value.Double(x)); the batch executor uses it
+// observably identical to Step(value.Double(x)); the executor uses it
 // to feed typed float columns without boxing each lane.
 type DoubleStepper interface {
 	StepDouble(x float64) error
@@ -117,7 +117,7 @@ func (s *sumState) Step(v value.Value) error {
 		default:
 			return fmt.Errorf("builtins: SUM over mixed %s and DOUBLE", s.kind)
 		}
-		s.d += v.D
+		s.d = addAcc(s.d, v.D)
 		return nil
 	case value.KindVector:
 		if s.kind == value.KindNull {
@@ -144,7 +144,7 @@ func (s *sumState) Step(v value.Value) error {
 }
 
 // StepDouble is the unboxed fast path: observably identical to
-// Step(value.Double(x)). The batch executor feeds typed float columns through
+// Step(value.Double(x)). The executor feeds typed float columns through
 // it to skip boxing each lane into a value.Value.
 func (s *sumState) StepDouble(x float64) error {
 	s.count++
@@ -159,8 +159,20 @@ func (s *sumState) StepDouble(x float64) error {
 	default:
 		return fmt.Errorf("builtins: SUM over mixed %s and DOUBLE", s.kind)
 	}
-	s.d += x
+	s.d = addAcc(s.d, x)
 	return nil
+}
+
+// addAcc adds x to a DOUBLE SUM accumulator. A NaN accumulator keeps its own
+// payload: when both operands are NaN the hardware returns whichever one the
+// compiler placed first, and Step and StepDouble compile the same += with
+// opposite operand orders, so without this rule the NaN bits of a SUM would
+// depend on which of them fed the state.
+func addAcc(acc, x float64) float64 {
+	if acc != acc {
+		return acc
+	}
+	return acc + x
 }
 
 // StepInt is the unboxed fast path: observably identical to
@@ -235,7 +247,7 @@ type avgState struct {
 	sum sumState
 }
 
-func (s *avgState) Step(v value.Value) error  { return s.sum.Step(v) }
+func (s *avgState) Step(v value.Value) error   { return s.sum.Step(v) }
 func (s *avgState) StepDouble(x float64) error { return s.sum.StepDouble(x) }
 func (s *avgState) StepInt(x int64) error      { return s.sum.StepInt(x) }
 func (s *avgState) Merge(other AggState) error {

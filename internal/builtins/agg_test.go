@@ -1,6 +1,7 @@
 package builtins
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -455,5 +456,27 @@ func TestSumMatrixThenVectorErrors(t *testing.T) {
 	st = spec.New()
 	if err := st.Step(value.String_("x")); err == nil {
 		t.Fatal("SUM over string accepted")
+	}
+}
+
+// TestSumStepDoubleNaNPayload: Step and the unboxed StepDouble must agree
+// bit for bit even when a SUM meets two different NaNs — the default NaN of
+// +Inf + -Inf first, then an input NaN with its own payload.
+func TestSumStepDoubleNaNPayload(t *testing.T) {
+	in := []float64{1.5, math.Inf(1), math.Inf(-1), math.NaN(), -2.25, math.Copysign(0, -1)}
+	boxed, unboxed := &sumState{}, &sumState{}
+	for _, x := range in {
+		if err := boxed.Step(value.Double(x)); err != nil {
+			t.Fatal(err)
+		}
+		if err := unboxed.StepDouble(x); err != nil {
+			t.Fatal(err)
+		}
+		if b, u := math.Float64bits(boxed.d), math.Float64bits(unboxed.d); b != u {
+			t.Fatalf("after %v: Step %#x, StepDouble %#x", x, b, u)
+		}
+	}
+	if !math.IsNaN(boxed.d) {
+		t.Fatalf("sum %v, want NaN", boxed.d)
 	}
 }

@@ -41,10 +41,11 @@ type Config struct {
 	// stage-at-a-time execution with one materialized relation per operator;
 	// see exec.Context.
 	DisablePipelineFusion bool
-	// BatchSize, when > 0, runs queries on the vectorized batch executor:
-	// filter, project, join build/probe, and aggregation process windows of
-	// this many rows as per-column arrays with selection vectors. 0 (the
-	// default) keeps the row-at-a-time executor; see exec.Context.BatchSize.
+	// BatchSize is the executor's window: filter, project, join
+	// build/probe, and aggregation process this many rows at a time as
+	// per-column arrays with selection vectors. 0 (the default) means
+	// exec.DefaultBatchSize; results are the same at every size. See
+	// exec.Context.BatchSize.
 	BatchSize int
 	// DataDir, when non-empty, opens persistent paged storage at that
 	// directory: tables live in compressed columnar page files behind a
@@ -97,9 +98,8 @@ type Database struct {
 // store fails to open; persistent callers should use OpenData and handle
 // the error.
 //
-// Open no longer touches the process-wide linalg worker default: the kernel
-// budget flows per query through exec.Context.KernelWorkers, so two Opens in
-// one process cannot stomp each other's parallelism.
+// The kernel budget flows per query through exec.Context.KernelWorkers, so
+// two Opens in one process cannot stomp each other's parallelism.
 func Open(cfg Config) *Database {
 	return mustOpen(OpenData(cfg))
 }
@@ -717,11 +717,11 @@ func (db *Database) ExecutePlanned(optimized plan.Node, rsrc Resources) (res *Re
 		Rows:    rel.Rows(),
 		Timings: timings,
 		Stats: cluster.StatsSnapshot{
-			TuplesShuffled:  after.TuplesShuffled - before.TuplesShuffled,
-			BytesShuffled:   after.BytesShuffled - before.BytesShuffled,
-			TuplesProduced:  after.TuplesProduced - before.TuplesProduced,
-			ShuffleRounds:   after.ShuffleRounds - before.ShuffleRounds,
-			BroadcastRounds: after.BroadcastRounds - before.BroadcastRounds,
+			TuplesShuffled:      after.TuplesShuffled - before.TuplesShuffled,
+			BytesShuffled:       after.BytesShuffled - before.BytesShuffled,
+			TuplesProduced:      after.TuplesProduced - before.TuplesProduced,
+			ShuffleRounds:       after.ShuffleRounds - before.ShuffleRounds,
+			BroadcastRounds:     after.BroadcastRounds - before.BroadcastRounds,
 			SpillEvents:         after.SpillEvents - before.SpillEvents,
 			BytesSpilled:        after.BytesSpilled - before.BytesSpilled,
 			FaultsInjected:      after.FaultsInjected - before.FaultsInjected,

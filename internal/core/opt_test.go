@@ -109,7 +109,7 @@ var rewriteEquivQueries = []string{
 	// value-equal but not (-0)-bit-equal.
 	"SELECT matrix_multiply(col_matrix(x), row_matrix(y)) AS op FROM vi",
 	// Fuse marking on a recognized outer product; both legs end up fused
-	// (rewrites-off relies on the executor's legacy pattern match).
+	// (the optimizer marks fusion with rewrites on or off).
 	"SELECT SUM(outer_product(x, y)) AS s FROM vs",
 	// Double-transpose elimination (exact).
 	"SELECT trans_matrix(trans_matrix(m)) AS back FROM ms",
@@ -124,8 +124,8 @@ var rewriteEquivQueries = []string{
 
 // TestRewriteEquivalenceBitIdentical pins the rewrite layer's contract:
 // every rewritten plan produces results byte-identical (EncodeRows, so NaN
-// payloads compare too) to the unrewritten plan's, on both the row and the
-// batch executor.
+// payloads compare too) to the unrewritten plan's, at two executor window
+// sizes.
 func TestRewriteEquivalenceBitIdentical(t *testing.T) {
 	build := func(rewrites bool, batch int, st *opt.RewriteStats) *Database {
 		cfg := DefaultConfig()
@@ -139,7 +139,7 @@ func TestRewriteEquivalenceBitIdentical(t *testing.T) {
 		return db
 	}
 
-	baseline := build(false, 0, nil)
+	baseline := build(false, 1024, nil)
 	want := make([]string, len(rewriteEquivQueries))
 	for qi, q := range rewriteEquivQueries {
 		res, err := baseline.Query(q)
@@ -152,7 +152,7 @@ func TestRewriteEquivalenceBitIdentical(t *testing.T) {
 	for _, leg := range []struct {
 		rewrites bool
 		batch    int
-	}{{true, 0}, {true, 64}, {false, 64}} {
+	}{{true, 1024}, {true, 64}, {false, 64}} {
 		st := &opt.RewriteStats{}
 		db := build(leg.rewrites, leg.batch, st)
 		for qi, q := range rewriteEquivQueries {

@@ -142,7 +142,8 @@ func TestPersistentRestartRoundTrip(t *testing.T) {
 }
 
 // TestPersistentMatchesInMemory runs the same workload against a persistent
-// and an in-memory database (both executors) and requires identical results.
+// and an in-memory database (at two executor window sizes) and requires
+// identical results.
 func TestPersistentMatchesInMemory(t *testing.T) {
 	queries := []string{
 		"SELECT SUM(v) FROM r WHERE k > 20",
@@ -162,7 +163,7 @@ func TestPersistentMatchesInMemory(t *testing.T) {
 	}
 	mem := Open(Config{Cluster: cluster.Config{Nodes: 2, PartitionsPerNode: 2, SerializeShuffles: true}, Optimizer: DefaultConfig().Optimizer})
 	load(mem)
-	for _, batch := range []int{0, 64} {
+	for _, batch := range []int{64, 1024} {
 		cfg := persistCfg(t.TempDir(), 0)
 		cfg.BatchSize = batch
 		db, err := OpenData(cfg)
@@ -187,7 +188,7 @@ func TestPersistentMatchesInMemory(t *testing.T) {
 // buffer pool and requires that queries stream it: results stay correct and
 // the pool's peak usage never exceeds its budget.
 func TestScanBoundedByBufferPool(t *testing.T) {
-	for _, batch := range []int{0, 128} {
+	for _, batch := range []int{128, 1024} {
 		const poolBytes = 16 << 10 // 16 pages of 1 KiB for a ~300-page table
 		cfg := persistCfg(t.TempDir(), poolBytes)
 		cfg.BatchSize = batch

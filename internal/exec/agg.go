@@ -34,7 +34,7 @@ func runAgg(ctx *Context, a *plan.Agg) (*Relation, error) {
 	stopLocal := ctx.Timings.Track("aggregate")
 	locals := make([]map[uint64][]*aggGroup, len(in.Parts))
 	err = ctx.Cluster.ParallelTasks("aggregate", taskObs(ctx), func(part, attempt int) (func() error, error) {
-		pa := &partAgg{ctx: ctx, ec: ctx.EvalCtx(), a: a, part: part, attempt: attempt, bsize: ctx.BatchSize}
+		pa := &partAgg{ctx: ctx, ec: ctx.EvalCtx(), a: a, part: part, attempt: attempt}
 		groups, err := pa.aggregate(in.Parts[part])
 		if err != nil {
 			return nil, err
@@ -226,32 +226,6 @@ func newStates(aggs []plan.AggCall, fuse bool) []builtins.AggState {
 	return out
 }
 
-func stepStates(ec *plan.EvalCtx, states []builtins.AggState, aggs []plan.AggCall, row value.Row) error {
-	for i, a := range aggs {
-		if fs, ok := states[i].(*fusedSumState); ok {
-			if err := fs.stepFused(ec, row); err != nil {
-				return err
-			}
-			continue
-		}
-		var v value.Value
-		if a.Input == nil {
-			// COUNT(*): any non-null marker.
-			v = value.Int(1)
-		} else {
-			var err error
-			v, err = a.Input.Eval(ec, row)
-			if err != nil {
-				return err
-			}
-		}
-		if err := states[i].Step(v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // aggSpillFanout is how many spill files new-group rows scatter into once
 // the group table hits its reservation.
 const aggSpillFanout = 16
@@ -269,51 +243,83 @@ type partAgg struct {
 	a       *plan.Agg
 	part    int
 	attempt int // owning task attempt; keys spill write-fault draws
-	bsize   int // >0 switches this partition to the batch executor
 }
 
 // aggregate builds the partition's group map from rows.
 func (pa *partAgg) aggregate(rows []value.Row) (map[uint64][]*aggGroup, error) {
+	next := sliceWindows(rows, pa.ctx.window())
 	if !pa.ctx.spillEnabled() {
-		return pa.buildAny(sliceIter(rows), nil, 0)
+		return pa.build(next, nil, 0)
 	}
 	res := pa.ctx.Spill.Governor().Reservation("hash aggregate")
 	defer res.Release()
-	return pa.buildAny(sliceIter(rows), res, 0)
+	return pa.build(next, res, 0)
 }
 
-// buildAny dispatches between the row and batch builders; the overflow
-// recursion re-enters through here so spilled runs rebuild in the same mode.
-func (pa *partAgg) buildAny(next rowIter, res *spill.Reservation, depth int) (map[uint64][]*aggGroup, error) {
-	if pa.bsize > 0 {
-		return pa.buildBatch(next, res, depth)
+// windowIter yields the input one window at a time; an empty window means
+// end of input.
+type windowIter func() ([]value.Row, error)
+
+// sliceWindows windows an in-memory slice without copying it.
+func sliceWindows(rows []value.Row, win int) windowIter {
+	lo := 0
+	return func() ([]value.Row, error) {
+		hi := min(lo+win, len(rows))
+		w := rows[lo:hi]
+		lo = hi
+		return w, nil
 	}
-	return pa.build(next, res, depth)
 }
 
-// rowIter yields rows; the bool result is false at end of input.
-type rowIter func() (value.Row, bool, error)
-
-func sliceIter(rows []value.Row) rowIter {
-	i := 0
-	return func() (value.Row, bool, error) {
-		if i >= len(rows) {
-			return nil, false, nil
+// readerWindows windows a row stream into one reused buffer.
+func readerWindows(next func() (value.Row, bool, error), win int) windowIter {
+	buf := make([]value.Row, 0, win)
+	return func() ([]value.Row, error) {
+		buf = buf[:0]
+		for len(buf) < win {
+			r, ok, err := next()
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				break
+			}
+			buf = append(buf, r)
 		}
-		r := rows[i]
-		i++
-		return r, true, nil
+		return buf, nil
 	}
 }
 
 // stateFootprint estimates the bytes of one group's aggregate states.
 func stateFootprint(n int) int64 { return 64 + int64(n)*64 }
 
-// build aggregates the iterator's rows into a group map, spilling new-group
-// rows once res denies the table more entries. At maxGraceDepth the bytes are
-// forced instead (a single group's rows always re-scatter to the same file,
-// so depth alone cannot split skew).
-func (pa *partAgg) build(next rowIter, res *spill.Reservation, depth int) (map[uint64][]*aggGroup, error) {
+// stepCol feeds lane i of column c into state st, using the unboxed stepper
+// fast paths when both the column storage and the state support them.
+// LabeledScalar lanes fall back to Step so labels reach states that keep them.
+func stepCol(st builtins.AggState, c *value.Col, i int) error {
+	if !c.Generic {
+		switch c.Kind {
+		case value.KindDouble:
+			if ds, ok := st.(builtins.DoubleStepper); ok {
+				return ds.StepDouble(c.F[i])
+			}
+		case value.KindInt:
+			if is, ok := st.(builtins.IntStepper); ok {
+				return is.StepInt(c.I[i])
+			}
+		}
+	}
+	return st.Step(c.Value(i))
+}
+
+// build aggregates the input windows into a group map. Group keys and hashes
+// (and non-fused aggregate arguments) are evaluated columnar per window, then
+// each row is routed in input order; key tuples materialize only when a new
+// group enters the table. Once res denies the table more entries, rows of
+// new groups spill; at maxGraceDepth the bytes are forced instead (a single
+// group's rows always re-scatter to the same file, so depth alone cannot
+// split skew).
+func (pa *partAgg) build(next windowIter, res *spill.Reservation, depth int) (map[uint64][]*aggGroup, error) {
 	groups := map[uint64][]*aggGroup{}
 	force := depth >= maxGraceDepth
 	salt := graceSalt(depth)
@@ -325,69 +331,116 @@ func (pa *partAgg) build(next rowIter, res *spill.Reservation, depth int) (map[u
 			}
 		}
 	}
+	// spillRow scatters a new-group row to its overflow file (all of a
+	// group's rows share a hash, hence a file, so each spilled group is
+	// complete within its file).
+	spillRow := func(h uint64, r value.Row) error {
+		return writers[int(mix64(h^salt)%uint64(len(writers)))].Append(r)
+	}
+
+	fuse := !pa.ctx.DisableAggFusion
+	// Aggregate argument columns vectorize only for plain (non-fused,
+	// non-COUNT(*)) calls; fused states step from the original row.
+	vecArg := make([]bool, len(pa.a.Aggs))
+	var vecInputs []plan.Expr
+	for i, a := range pa.a.Aggs {
+		vecArg[i] = a.Input != nil && !(fuse && fusedOf(a) != fusedNone)
+		if vecArg[i] {
+			vecInputs = append(vecInputs, a.Input)
+		}
+	}
+	argCols := make([]*value.Col, len(pa.a.Aggs))
+	refs := colRefs(pa.a.GroupBy, vecInputs)
+	var (
+		view batchView
+		ke   keyEval
+	)
 	for {
-		r, ok, err := next()
+		window, err := next()
 		if err != nil {
 			abortAll()
 			return nil, err
 		}
-		if !ok {
+		if len(window) == 0 {
 			break
 		}
-		kv, err := evalKeys(pa.ec, pa.a.GroupBy, r)
-		if err != nil {
+		view.reset(window, 0, len(window), viewWidth(window))
+		view.prefetch(refs)
+		if err := ke.eval(pa.ec, pa.a.GroupBy, &view); err != nil {
 			abortAll()
 			return nil, err
 		}
-		h := hashVals(kv)
-		var g *aggGroup
-		for _, cand := range groups[h] {
-			if valsEqual(cand.keys, kv) {
-				g = cand
-				break
-			}
-		}
-		if g == nil {
-			if writers != nil {
-				// Overflow mode: this group is not in the table, so its rows
-				// scatter out (all of them — same hash, same file — so each
-				// spilled group is complete within its file).
-				idx := int(mix64(h^salt) % uint64(len(writers)))
-				if err := writers[idx].Append(r); err != nil {
-					abortAll()
-					return nil, err
-				}
+		for j, a := range pa.a.Aggs {
+			if !vecArg[j] {
 				continue
 			}
-			fp := valsFootprint(kv) + stateFootprint(len(pa.a.Aggs))
-			if res != nil && !force && !res.Grow(fp) {
-				// Pressure: open the overflow files; this row is the first
-				// one out.
-				writers = make([]*spill.Writer, aggSpillFanout)
-				for i := range writers {
-					w, err := pa.ctx.Spill.NewWriterAt(fmt.Sprintf("agg-p%d-d%d-%d", pa.part, depth, i), pa.attempt)
-					if err != nil {
+			if argCols[j], err = plan.EvalVec(pa.ec, a.Input, &view, nil); err != nil {
+				abortAll()
+				return nil, err
+			}
+		}
+		for i, r := range window {
+			h := ke.hashes[i]
+			var g *aggGroup
+			for _, cand := range groups[h] {
+				if keyTupleEqual(ke.cols, i, cand.keys) {
+					g = cand
+					break
+				}
+			}
+			if g == nil {
+				if writers != nil {
+					if err := spillRow(h, r); err != nil {
 						abortAll()
 						return nil, err
 					}
-					writers[i] = w
+					continue
 				}
-				idx := int(mix64(h^salt) % uint64(len(writers)))
-				if err := writers[idx].Append(r); err != nil {
+				fp := ke.keyFootprintAt(i) + stateFootprint(len(pa.a.Aggs))
+				if res != nil && !force && !res.Grow(fp) {
+					// Pressure: open the overflow files; this row is the
+					// first one out.
+					writers = make([]*spill.Writer, aggSpillFanout)
+					for wi := range writers {
+						w, err := pa.ctx.Spill.NewWriterAt(fmt.Sprintf("agg-p%d-d%d-%d", pa.part, depth, wi), pa.attempt)
+						if err != nil {
+							abortAll()
+							return nil, err
+						}
+						writers[wi] = w
+					}
+					if err := spillRow(h, r); err != nil {
+						abortAll()
+						return nil, err
+					}
+					continue
+				}
+				if res != nil && force {
+					res.Force(fp)
+				}
+				g = &aggGroup{keys: ke.materializeAt(i), states: newStates(pa.a.Aggs, fuse)}
+				groups[h] = append(groups[h], g)
+			}
+			for j, st := range g.states {
+				var err error
+				switch {
+				case vecArg[j]:
+					err = stepCol(st, argCols[j], i)
+				case pa.a.Aggs[j].Input == nil:
+					// COUNT(*): any non-null marker.
+					if is, ok := st.(builtins.IntStepper); ok {
+						err = is.StepInt(1)
+					} else {
+						err = st.Step(value.Int(1))
+					}
+				default:
+					err = st.(*fusedSumState).stepFused(pa.ec, r)
+				}
+				if err != nil {
 					abortAll()
 					return nil, err
 				}
-				continue
 			}
-			if res != nil && force {
-				res.Force(fp)
-			}
-			g = &aggGroup{keys: kv, states: newStates(pa.a.Aggs, !pa.ctx.DisableAggFusion)}
-			groups[h] = append(groups[h], g)
-		}
-		if err := stepStates(pa.ec, g.states, pa.a.Aggs, r); err != nil {
-			abortAll()
-			return nil, err
 		}
 	}
 	if writers == nil {
@@ -426,7 +479,7 @@ func (pa *partAgg) buildFromRun(run *spill.Run, res *spill.Reservation, depth in
 	if err != nil {
 		return nil, err
 	}
-	groups, err := pa.buildAny(rd.Next, res, depth)
+	groups, err := pa.build(readerWindows(rd.Next, pa.ctx.window()), res, depth)
 	if err != nil {
 		_ = rd.Close() // the build error is the actionable one
 		return nil, err

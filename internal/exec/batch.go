@@ -2,47 +2,51 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
-	"relalg/internal/builtins"
 	"relalg/internal/plan"
-	"relalg/internal/spill"
 	"relalg/internal/value"
 )
 
-// This file is the vectorized batch executor: when Context.BatchSize > 0 the
-// filter, project, fused pipeline, hash-join build/probe (including the grace
-// spill legs), and partition-local aggregation process windows of rows as
-// per-column arrays with selection vectors instead of dispatching the
-// expression tree per row. Everything observable — output rows and their
-// order, tuple charges at operator boundaries, spill decisions and file
-// contents — is bit-identical to the row executor: key hashing replicates
-// value.Hash/hashVals exactly, per-row spill footprints are computed from the
-// same SizeBytes quantities, and rows are processed in the same order. The
-// one intentional divergence is LIMIT over a fused pipeline, which stops
-// producing (and charging) at the limit instead of materializing every
-// surviving row first.
+// This file is the executor's window machinery. Filter, project, the fused
+// pipeline, hash-join build/probe (including the grace spill legs), and
+// partition-local aggregation all process their input in windows of
+// Context.BatchSize rows as per-column arrays with selection vectors instead
+// of dispatching the expression tree per row. Rows keep their order, key
+// hashing replicates value.Hash/hashVals exactly, and per-row spill
+// footprints come from the same SizeBytes quantities, so output rows, tuple
+// charges, spill decisions and spill-file contents do not depend on the
+// window size. Rows materialize late: predicates run over the whole window,
+// projections only over the rows that survive them.
 
 // batchView adapts a window rows[lo:hi] to plan.BatchSource, gathering each
-// column on first use and caching it for the rest of the window.
+// column on first use (or up front, via prefetch) and caching it for the rest
+// of the window.
 type batchView struct {
 	rows   []value.Row
 	lo, hi int
-	cols   []value.Col
-	have   []bool
+	cols   []viewCol
+	// prefetch scratch
+	pidx []int
+	pcol []*value.Col
+}
+
+// viewCol is one cached column of a window.
+type viewCol struct {
+	col  value.Col
+	have bool
 }
 
 // reset points the view at rows[lo:hi] with the given column count.
 func (v *batchView) reset(rows []value.Row, lo, hi, width int) {
 	v.rows, v.lo, v.hi = rows, lo, hi
 	if cap(v.cols) < width {
-		v.cols = make([]value.Col, width)
-		v.have = make([]bool, width)
+		v.cols = make([]viewCol, width)
 	}
 	v.cols = v.cols[:width]
-	v.have = v.have[:width]
-	for i := range v.have {
-		v.have[i] = false
+	for i := range v.cols {
+		v.cols[i].have = false
 	}
 }
 
@@ -54,29 +58,22 @@ func (v *batchView) BatchCol(idx int) (*value.Col, error) {
 	if idx < 0 || idx >= len(v.cols) {
 		return nil, fmt.Errorf("exec: column index %d out of range for row of %d", idx, len(v.cols))
 	}
-	if !v.have[idx] {
-		v.cols[idx].Gather(v.rows, v.lo, v.hi, idx)
-		v.have[idx] = true
+	vc := &v.cols[idx]
+	if !vc.have {
+		vc.col.Gather(v.rows, v.lo, v.hi, idx)
+		vc.have = true
 	}
-	return &v.cols[idx], nil
+	return &vc.col, nil
 }
 
 // BatchRow implements plan.BatchSource.
 func (v *batchView) BatchRow(i int) value.Row { return v.rows[v.lo+i] }
 
-// prefetcher gathers the column set an operator's expressions reference in a
-// single pass per window (value.GatherMulti) instead of one lazy pass per
-// column. The index set is computed once per operator.
-type prefetcher struct {
-	idxs []int
-	live []int
-	cols []*value.Col
-}
-
-// newPrefetcher collects the distinct column indexes referenced by the given
-// expression lists, ascending.
-func newPrefetcher(lists ...[]plan.Expr) *prefetcher {
-	seen := map[int]bool{}
+// colRefs returns the distinct column indexes the expression lists
+// reference, ascending. Operators compute it once and share it, read-only,
+// across their partition tasks.
+func colRefs(lists ...[]plan.Expr) []int {
+	var idxs []int
 	for _, list := range lists {
 		for _, e := range list {
 			if e == nil {
@@ -84,37 +81,35 @@ func newPrefetcher(lists ...[]plan.Expr) *prefetcher {
 			}
 			e.Walk(func(x plan.Expr) {
 				if c, ok := x.(*plan.Col); ok {
-					seen[c.Idx] = true
+					idxs = append(idxs, c.Idx)
 				}
 			})
 		}
 	}
-	p := &prefetcher{}
-	for i := range seen {
-		p.idxs = append(p.idxs, i)
-	}
-	sort.Ints(p.idxs)
-	p.live = make([]int, 0, len(p.idxs))
-	p.cols = make([]*value.Col, 0, len(p.idxs))
-	return p
+	sort.Ints(idxs)
+	return slices.Compact(idxs)
 }
 
-// gather single-pass gathers the prefetch set into view's column cache;
-// already-gathered or out-of-range indexes are skipped.
-func (p *prefetcher) gather(v *batchView) {
-	p.live, p.cols = p.live[:0], p.cols[:0]
-	for _, idx := range p.idxs {
-		if idx >= 0 && idx < len(v.cols) && !v.have[idx] {
-			p.live = append(p.live, idx)
-			p.cols = append(p.cols, &v.cols[idx])
+// prefetch gathers the columns idxs (from colRefs) in a single pass over the
+// window (value.GatherMulti) instead of one lazy pass per column; columns
+// already gathered and out-of-range indexes are skipped.
+func (v *batchView) prefetch(idxs []int) {
+	if cap(v.pidx) < len(idxs) {
+		v.pidx, v.pcol = make([]int, 0, len(idxs)), make([]*value.Col, 0, len(idxs))
+	}
+	v.pidx, v.pcol = v.pidx[:0], v.pcol[:0]
+	for _, idx := range idxs {
+		if idx >= 0 && idx < len(v.cols) && !v.cols[idx].have {
+			v.pidx = append(v.pidx, idx)
+			v.pcol = append(v.pcol, &v.cols[idx].col)
 		}
 	}
-	if len(p.live) == 0 {
+	if len(v.pidx) == 0 {
 		return
 	}
-	value.GatherMulti(v.rows, v.lo, v.hi, p.live, p.cols)
-	for _, idx := range p.live {
-		v.have[idx] = true
+	value.GatherMulti(v.rows, v.lo, v.hi, v.pidx, v.pcol)
+	for _, idx := range v.pidx {
+		v.cols[idx].have = true
 	}
 }
 
@@ -127,222 +122,210 @@ func viewWidth(rows []value.Row) int {
 	return len(rows[0])
 }
 
-// filterSel compacts the live lanes where pred evaluated to BOOLEAN true,
-// applying the row path's keep test (anything else drops). sel nil means all
-// n lanes were live. The result is written into dst (grown as needed); when
-// dst aliases sel the in-place compaction is safe because both cursors move
-// in ascending order and the write index never passes the read index.
+// noLanes is the empty selection: distinct from nil, which means every lane
+// is live.
+var noLanes = []int32{}
+
+// filterSel returns the live lanes where pred evaluated to BOOLEAN true,
+// applying SQL's keep test (anything else drops). sel nil means all n lanes
+// were live on entry; a nil result then means they all survived, so a dense
+// window needs no selection vector at all. Otherwise the result is written
+// into dst (grown as needed); when dst aliases sel the in-place compaction is
+// safe because both cursors move in ascending order and the write index
+// never passes the read index.
 func filterSel(c *value.Col, n int, sel, dst []int32) []int32 {
-	if dst == nil {
-		// Never return nil: callers use nil to mean "every lane live", so an
-		// empty result must stay distinguishable from a dense one.
-		dst = make([]int32, 0, n)
-	}
-	dst = dst[:0]
 	if !c.Generic {
 		if c.Kind != value.KindBool {
-			return dst // homogeneous non-boolean predicate keeps nothing
+			return noLanes // homogeneous non-boolean predicate keeps nothing
 		}
-		if sel == nil {
-			for i := 0; i < n; i++ {
-				if c.B[i] {
-					dst = append(dst, int32(i))
-				}
-			}
-		} else {
+		b := c.B
+		if sel != nil {
+			dst = dst[:0]
 			for _, i := range sel {
-				if c.B[i] {
+				if b[i] {
 					dst = append(dst, i)
 				}
+			}
+			return dst
+		}
+		i := 0
+		for i < n && b[i] {
+			i++
+		}
+		if i == n {
+			return nil
+		}
+		dst = denseSel(dst, i, n)
+		for i++; i < n; i++ {
+			if b[i] {
+				dst = append(dst, int32(i))
 			}
 		}
 		return dst
 	}
-	keep := func(i int32) bool {
+	keep := func(i int) bool {
 		v := c.Any[i]
 		return v.Kind == value.KindBool && v.B
 	}
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			if keep(int32(i)) {
-				dst = append(dst, int32(i))
-			}
-		}
-	} else {
+	if sel != nil {
+		dst = dst[:0]
 		for _, i := range sel {
-			if keep(i) {
+			if keep(int(i)) {
 				dst = append(dst, i)
 			}
+		}
+		return dst
+	}
+	i := 0
+	for i < n && keep(i) {
+		i++
+	}
+	if i == n {
+		return nil
+	}
+	dst = denseSel(dst, i, n)
+	for i++; i < n; i++ {
+		if keep(i) {
+			dst = append(dst, int32(i))
 		}
 	}
 	return dst
 }
 
-// allSel returns the dense selection [0,n) in buf.
-func allSel(buf []int32, n int) []int32 {
+// denseSel returns the selection [0,k) in buf, with room for n lanes.
+func denseSel(buf []int32, k, n int) []int32 {
 	if cap(buf) < n {
-		buf = make([]int32, n)
+		buf = make([]int32, 0, n)
 	}
-	buf = buf[:n]
+	buf = buf[:k]
 	for i := range buf {
 		buf[i] = int32(i)
 	}
 	return buf
 }
 
-// batchFilterPart filters one partition's rows by pred in windows, appending
-// kept row references (the same aliasing the row path keeps).
-func batchFilterPart(ctx *Context, ec *plan.EvalCtx, pred plan.Expr, rows []value.Row) ([]value.Row, error) {
-	var (
-		out  []value.Row
-		view batchView
-		sbuf []int32
-	)
-	width := viewWidth(rows)
-	pre := newPrefetcher([]plan.Expr{pred})
-	for lo := 0; lo < len(rows); lo += ctx.BatchSize {
-		hi := lo + ctx.BatchSize
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		view.reset(rows, lo, hi, width)
-		pre.gather(&view)
-		n := hi - lo
-		col, err := plan.EvalVec(ec, pred, &view, nil)
+// filterLanes threads preds through a selection vector over the n lanes of
+// src and returns the lanes where every predicate evaluated to BOOLEAN true.
+// nil means every lane is live; otherwise the vector lives in *buf, which is
+// reused across windows.
+func filterLanes(ec *plan.EvalCtx, preds []plan.Expr, src plan.BatchSource, n int, buf *[]int32) ([]int32, error) {
+	var sel []int32
+	for _, pred := range preds {
+		col, err := plan.EvalVec(ec, pred, src, sel)
 		if err != nil {
 			return nil, err
 		}
-		sbuf = filterSel(col, n, nil, sbuf)
-		for _, i := range sbuf {
-			out = append(out, rows[lo+int(i)])
+		if sel = filterSel(col, n, sel, *buf); sel == nil {
+			continue // still dense
 		}
-	}
-	return out, nil
-}
-
-// batchProjectPart projects one partition's rows in windows, materializing
-// output rows from the evaluated expression columns via the arena.
-func batchProjectPart(ctx *Context, ec *plan.EvalCtx, exprs []plan.Expr, rows []value.Row) ([]value.Row, error) {
-	out := make([]value.Row, 0, len(rows))
-	var (
-		view  batchView
-		arena rowArena
-	)
-	width := viewWidth(rows)
-	cols := make([]*value.Col, len(exprs))
-	pre := newPrefetcher(exprs)
-	for lo := 0; lo < len(rows); lo += ctx.BatchSize {
-		hi := lo + ctx.BatchSize
-		if hi > len(rows) {
-			hi = len(rows)
+		if cap(sel) > 0 {
+			*buf = sel
 		}
-		view.reset(rows, lo, hi, width)
-		pre.gather(&view)
-		for j, e := range exprs {
-			c, err := plan.EvalVec(ec, e, &view, nil)
-			if err != nil {
-				return nil, err
-			}
-			cols[j] = c
-		}
-		for i := 0; i < hi-lo; i++ {
-			nr := arena.alloc(len(exprs))
-			for j := range cols {
-				nr[j] = cols[j].Value(i)
-			}
-			out = append(out, nr)
-		}
-	}
-	return out, nil
-}
-
-// batchPipelinePart runs the fused filter→project chain over one partition in
-// windows. limit < 0 means unbounded; otherwise production stops after limit
-// rows, truncating inside the final window via the selection vector so the
-// discarded tail is never materialized (or charged by the caller, which
-// charges emitted rows only).
-func batchPipelinePart(ctx *Context, ec *plan.EvalCtx, sp *plan.Pipeline, rows []value.Row, limit int) ([]value.Row, error) {
-	var (
-		out   []value.Row
-		view  batchView
-		arena rowArena
-		sbuf  []int32
-	)
-	width := viewWidth(rows)
-	var cols []*value.Col
-	if sp.Exprs != nil {
-		cols = make([]*value.Col, len(sp.Exprs))
-	}
-	pre := newPrefetcher(sp.Filters, sp.Exprs)
-	for lo := 0; lo < len(rows); lo += ctx.BatchSize {
-		if limit >= 0 && len(out) >= limit {
+		if len(sel) == 0 {
 			break
 		}
-		hi := lo + ctx.BatchSize
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		view.reset(rows, lo, hi, width)
-		pre.gather(&view)
-		n := hi - lo
-		sel := []int32(nil) // nil = every lane live
-		for _, pred := range sp.Filters {
-			col, err := plan.EvalVec(ec, pred, &view, sel)
-			if err != nil {
-				return nil, err
-			}
-			sbuf = filterSel(col, n, sel, sbuf)
-			sel = sbuf
-			if len(sel) == 0 {
-				break
-			}
-		}
-		if sel != nil && len(sel) == 0 {
-			continue
-		}
-		if limit >= 0 {
-			remaining := limit - len(out)
-			if sel == nil && n > remaining {
-				sel = allSel(sbuf, n)[:remaining]
-			} else if sel != nil && len(sel) > remaining {
-				sel = sel[:remaining]
-			}
-		}
-		if sp.Exprs == nil {
-			if sel == nil {
-				out = append(out, rows[lo:hi]...)
-			} else {
-				for _, i := range sel {
-					out = append(out, rows[lo+int(i)])
-				}
-			}
-			continue
-		}
-		for j, e := range sp.Exprs {
-			c, err := plan.EvalVec(ec, e, &view, sel)
-			if err != nil {
-				return nil, err
-			}
-			cols[j] = c
-		}
-		emit := func(i int) {
-			nr := arena.alloc(len(sp.Exprs))
-			for j := range cols {
-				nr[j] = cols[j].Value(i)
-			}
-			out = append(out, nr)
-		}
-		if sel == nil {
-			for i := 0; i < n; i++ {
-				emit(i)
-			}
-		} else {
-			for _, i := range sel {
-				emit(int(i))
-			}
-		}
 	}
-	return out, nil
+	return sel, nil
+}
+
+// capLanes truncates the live lanes of an n-lane window to at most k, so a
+// pushed-down LIMIT never materializes (or charges) the discarded tail.
+func capLanes(sel []int32, n, k int) []int32 {
+	if sel == nil {
+		if n <= k {
+			return nil
+		}
+		return denseSel(nil, k, k)
+	}
+	if len(sel) > k {
+		return sel[:k]
+	}
+	return sel
+}
+
+// forEachLane calls f for every live lane (all n when sel is nil).
+func forEachLane(n int, sel []int32, f func(i int)) {
+	if sel == nil {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+		return
+	}
+	for _, i := range sel {
+		f(int(i))
+	}
+}
+
+// emitRows appends one arena row per live lane, column j taken from cols[j].
+// The arena is sized to exactly the live output first, so a window that
+// keeps one row allocates one row.
+func emitRows(out []value.Row, arena *rowArena, cols []*value.Col, n int, sel []int32) []value.Row {
+	live := n
+	if sel != nil {
+		live = len(sel)
+	}
+	w := len(cols)
+	arena.reserve(live * w)
+	if need := len(out) + live; need > cap(out) {
+		grown := make([]value.Row, len(out), max(need, 2*cap(out)))
+		copy(grown, out)
+		out = grown
+	}
+	forEachLane(n, sel, func(i int) {
+		nr := arena.alloc(w)
+		for j, c := range cols {
+			nr[j] = c.Value(i)
+		}
+		out = append(out, nr)
+	})
+	return out
+}
+
+// projector evaluates a projection over a window and materializes the
+// result rows. When a selection vector says only some rows survived, those
+// rows are compacted first, so the projection's columns (VECTOR and MATRIX
+// cells included) are gathered and computed for surviving rows only. One
+// projector serves one partition task.
+type projector struct {
+	exprs []plan.Expr
+	refs  []int // colRefs(exprs), shared by the operator's tasks
+	view  batchView
+	live  []value.Row
+	cols  []*value.Col
+}
+
+func newProjector(exprs []plan.Expr, refs []int) projector {
+	return projector{exprs: exprs, refs: refs, cols: make([]*value.Col, len(exprs))}
+}
+
+// windowScratch is one partition task's window view and projector, held in
+// a single allocation.
+type windowScratch struct {
+	view batchView
+	proj projector
+}
+
+// project appends the projection of the live lanes of view (all of them
+// when sel is nil) to out.
+func (p *projector) project(ec *plan.EvalCtx, view *batchView, sel []int32, arena *rowArena, out []value.Row) ([]value.Row, error) {
+	src := view
+	if sel != nil {
+		p.live = p.live[:0]
+		for _, i := range sel {
+			p.live = append(p.live, view.rows[view.lo+int(i)])
+		}
+		p.view.reset(p.live, 0, len(p.live), len(view.cols))
+		src = &p.view
+	}
+	src.prefetch(p.refs)
+	for j, e := range p.exprs {
+		c, err := plan.EvalVec(ec, e, src, nil)
+		if err != nil {
+			return nil, err
+		}
+		p.cols[j] = c
+	}
+	return emitRows(out, arena, p.cols, src.BatchLen(), nil), nil
 }
 
 // keyEval is the reusable vectorized key-evaluation state for one window:
@@ -384,8 +367,9 @@ func (k *keyEval) eval(ec *plan.EvalCtx, keys []plan.Expr, view *batchView) erro
 	return nil
 }
 
-// keyFootprintAt is valsFootprint of the key tuple at lane i, computed from
-// the columns without materializing the values.
+// keyFootprintAt is the governed cost of the key tuple at lane i (slice
+// overhead plus each value's SizeBytes), computed from the columns without
+// materializing the values.
 func (k *keyEval) keyFootprintAt(i int) int64 {
 	n := int64(32)
 	for _, c := range k.cols {
@@ -395,8 +379,8 @@ func (k *keyEval) keyFootprintAt(i int) int64 {
 }
 
 // materializeAt builds the key tuple at lane i as a value slice (used only
-// when a row actually enters a hash table, so the per-row allocation of the
-// row path is paid once per stored entry instead of once per input row).
+// when a row actually enters a hash table, so the key allocation is paid
+// once per stored entry instead of once per input row).
 func (k *keyEval) materializeAt(i int) []value.Value {
 	kv := make([]value.Value, len(k.cols))
 	for j, c := range k.cols {
@@ -447,115 +431,6 @@ func keyTupleEqual(cols []*value.Col, i int, keys []value.Value) bool {
 		}
 	}
 	return true
-}
-
-// --- batch hash join ---------------------------------------------------------
-
-// runBatch is partJoin.run for the batch executor; structure and spill
-// decisions mirror run exactly.
-func (pj *partJoin) runBatch(buildRows, probeRows []value.Row) error {
-	if !pj.ctx.spillEnabled() {
-		table, _, err := pj.buildTableBatch(buildRows, nil, false)
-		if err != nil {
-			return err
-		}
-		return pj.probeBatch(table, probeRows)
-	}
-	res := pj.ctx.Spill.Governor().Reservation("hash join build")
-	defer res.Release()
-	table, ok, err := pj.buildTableBatch(buildRows, res, false)
-	if err != nil {
-		return err
-	}
-	if ok {
-		return pj.probeBatch(table, probeRows)
-	}
-	res.Reset()
-	return pj.graceBatch(buildRows, probeRows, res, 0)
-}
-
-// buildTableBatch is the vectorized buildTable: key evaluation and hashing
-// are columnar, rows are inserted in input order, and the reservation is
-// grown by the identical per-row footprint so a denial aborts at the same
-// row as the row path.
-func (pj *partJoin) buildTableBatch(rows []value.Row, res *spill.Reservation, force bool) (map[uint64][]joinBucket, bool, error) {
-	table := make(map[uint64][]joinBucket, len(rows))
-	var (
-		view batchView
-		ke   keyEval
-	)
-	width := viewWidth(rows)
-	for lo := 0; lo < len(rows); lo += pj.bsize {
-		hi := lo + pj.bsize
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		view.reset(rows, lo, hi, width)
-		if err := ke.eval(pj.ec, pj.buildKeys, &view); err != nil {
-			return nil, false, err
-		}
-		for i := 0; i < hi-lo; i++ {
-			r := rows[lo+i]
-			if res != nil {
-				fp := rowFootprint(r) + ke.keyFootprintAt(i)
-				if force {
-					res.Force(fp)
-				} else if !res.Grow(fp) {
-					return nil, false, nil
-				}
-			}
-			h := ke.hashes[i]
-			table[h] = append(table[h], joinBucket{keys: ke.materializeAt(i), row: r})
-		}
-	}
-	return table, true, nil
-}
-
-// probeBatch probes probeRows against the table in windows: probe keys and
-// hashes are computed columnar, bucket scans compare column lanes against the
-// stored key tuples without materializing probe-side tuples, and each
-// window's matches emit through the vectorized residual/projection path in
-// match order — the same rows, in the same order, with the same charges as
-// the row executor's per-match emitMatch.
-func (pj *partJoin) probeBatch(table map[uint64][]joinBucket, probeRows []value.Row) error {
-	var (
-		view   batchView
-		ke     keyEval
-		mb, mp []value.Row
-	)
-	if pj.em == nil {
-		pj.em = newBatchEmitter(pj)
-	}
-	width := viewWidth(probeRows)
-	for lo := 0; lo < len(probeRows); lo += pj.bsize {
-		hi := lo + pj.bsize
-		if hi > len(probeRows) {
-			hi = len(probeRows)
-		}
-		view.reset(probeRows, lo, hi, width)
-		if err := ke.eval(pj.ec, pj.probeKeys, &view); err != nil {
-			return err
-		}
-		mb, mp = mb[:0], mp[:0]
-		for i := 0; i < hi-lo; i++ {
-			bucket := table[ke.hashes[i]]
-			if len(bucket) == 0 {
-				continue
-			}
-			pr := probeRows[lo+i]
-			for _, b := range bucket {
-				if !keyTupleEqual(ke.cols, i, b.keys) {
-					continue
-				}
-				mb = append(mb, b.row)
-				mp = append(mp, pr)
-			}
-		}
-		if err := pj.em.flush(mb, mp); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // pairSource is a plan.BatchSource over the matched pairs of one probe
@@ -622,11 +497,10 @@ func (ps *pairSource) BatchRow(i int) value.Row {
 	return ps.concat[i]
 }
 
-// batchEmitter vectorizes the match-emission tail of the batch probe:
-// residual predicates and the fused projection evaluate columnar over the
-// window's matched build/probe pairs. Emitted rows, their order, and the
-// per-row charge ticks are identical to emitMatch's; like the vectorized
-// filters, only the error ordering of a failing residual may differ.
+// batchEmitter vectorizes the match-emission tail of the probe: residual
+// predicates and the fused projection evaluate columnar over the window's
+// matched build/probe pairs, and only surviving matches materialize. Each
+// emitted row ticks the join's charger once.
 type batchEmitter struct {
 	pj    *partJoin
 	pair  pairSource
@@ -660,17 +534,9 @@ func (em *batchEmitter) flush(bRows, pRows []value.Row) error {
 		return em.flushConcat(left, right, w)
 	}
 	em.pair.reset(left, right, len(left[0]), w)
-	var sel []int32
-	for _, res := range pj.j.Residual {
-		col, err := plan.EvalVec(pj.ec, res, &em.pair, sel)
-		if err != nil {
-			return err
-		}
-		em.sbuf = filterSel(col, n, sel, em.sbuf)
-		sel = em.sbuf
-		if len(sel) == 0 {
-			return nil
-		}
+	sel, err := filterLanes(pj.ec, pj.j.Residual, &em.pair, n, &em.sbuf)
+	if err != nil || (sel != nil && len(sel) == 0) {
+		return err
 	}
 	for j, e := range pj.proj.exprs {
 		c, err := plan.EvalVec(pj.ec, e, &em.pair, sel)
@@ -679,28 +545,9 @@ func (em *batchEmitter) flush(bRows, pRows []value.Row) error {
 		}
 		em.cols[j] = c
 	}
-	emit := func(i int) error {
-		nr := em.arena.alloc(len(em.cols))
-		for j := range em.cols {
-			nr[j] = em.cols[j].Value(i)
-		}
-		pj.rows = append(pj.rows, nr)
-		return pj.charge.tick()
-	}
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			if err := emit(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, i := range sel {
-		if err := emit(int(i)); err != nil {
-			return err
-		}
-	}
-	return nil
+	before := len(pj.rows)
+	pj.rows = emitRows(pj.rows, &em.arena, em.cols, n, sel)
+	return pj.charge.tickN(len(pj.rows) - before)
 }
 
 // flushConcat is the no-projection leg: the concatenated rows are the output
@@ -710,6 +557,7 @@ func (em *batchEmitter) flushConcat(left, right []value.Row, w int) error {
 	pj := em.pj
 	n := len(left)
 	concat := make([]value.Row, 0, n)
+	em.arena.reserve(n * w)
 	for i := 0; i < n; i++ {
 		nr := em.arena.alloc(w)[:0]
 		nr = append(nr, left[i]...)
@@ -717,410 +565,11 @@ func (em *batchEmitter) flushConcat(left, right []value.Row, w int) error {
 		concat = append(concat, nr)
 	}
 	em.view.reset(concat, 0, n, w)
-	var sel []int32
-	for _, res := range pj.j.Residual {
-		col, err := plan.EvalVec(pj.ec, res, &em.view, sel)
-		if err != nil {
-			return err
-		}
-		em.sbuf = filterSel(col, n, sel, em.sbuf)
-		sel = em.sbuf
-		if len(sel) == 0 {
-			return nil
-		}
-	}
-	emit := func(i int) error {
-		pj.rows = append(pj.rows, concat[i])
-		return pj.charge.tick()
-	}
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			if err := emit(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, i := range sel {
-		if err := emit(int(i)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// emitMatch concatenates one build/probe match, applies residual predicates
-// and the fused projection, and charges the emitted tuple — the shared tail
-// of probeRow and probeBatch.
-func (pj *partJoin) emitMatch(buildRow, probeRow value.Row) error {
-	nr := make(value.Row, 0, len(pj.j.Out))
-	if pj.buildLeft {
-		nr = append(nr, buildRow...)
-		nr = append(nr, probeRow...)
-	} else {
-		nr = append(nr, probeRow...)
-		nr = append(nr, buildRow...)
-	}
-	for _, res := range pj.j.Residual {
-		v, err := res.Eval(pj.ec, nr)
-		if err != nil {
-			return err
-		}
-		if !(v.Kind == value.KindBool && v.B) {
-			return nil
-		}
-	}
-	emitted, err := pj.proj.emit(pj.ec, nr)
+	sel, err := filterLanes(pj.ec, pj.j.Residual, &em.view, n, &em.sbuf)
 	if err != nil {
 		return err
 	}
-	pj.rows = append(pj.rows, emitted)
-	return pj.charge.tick()
-}
-
-// graceBatch is the vectorized grace join: the scatter hashes come from the
-// columnar key path (bit-identical to hashVals), so every row lands in the
-// same file, in the same order, as the row executor's grace join.
-func (pj *partJoin) graceBatch(buildRows, probeRows []value.Row, res *spill.Reservation, depth int) error {
-	f := pj.graceFanout(buildRows)
-	salt := graceSalt(depth)
-	buildRuns, err := pj.spillSideBatch("join-build", pj.buildKeys, buildRows, f, salt)
-	if err != nil {
-		return err
-	}
-	probeRuns, err := pj.spillSideBatch("join-probe", pj.probeKeys, probeRows, f, salt)
-	if err != nil {
-		removeRunSlice(buildRuns)
-		return err
-	}
-	for i := 0; i < f; i++ {
-		err := pj.graceSubBatch(buildRuns[i], probeRuns[i], res, depth)
-		buildRuns[i], probeRuns[i] = nil, nil
-		if err != nil {
-			removeRunSlice(buildRuns)
-			removeRunSlice(probeRuns)
-			return err
-		}
-	}
-	return nil
-}
-
-// graceSubBatch joins one sub-partition pair: the build side rebuilds
-// columnar, the probe side re-materializes and probes in windows.
-func (pj *partJoin) graceSubBatch(buildRun, probeRun *spill.Run, res *spill.Reservation, depth int) error {
-	defer res.Reset()
-	if buildRun.Rows == 0 || probeRun.Rows == 0 {
-		if err := buildRun.Remove(); err != nil {
-			return err
-		}
-		return probeRun.Remove()
-	}
-	subBuild, err := readRun(buildRun)
-	if err != nil {
-		return err
-	}
-	if err := buildRun.Remove(); err != nil {
-		return err
-	}
-	table, ok, err := pj.buildTableBatch(subBuild, res, depth+1 >= maxGraceDepth)
-	if err != nil {
-		_ = probeRun.Remove() // the build error is the actionable one
-		return err
-	}
-	if !ok {
-		res.Reset()
-		subProbe, err := readRun(probeRun)
-		if err != nil {
-			return err
-		}
-		if err := probeRun.Remove(); err != nil {
-			return err
-		}
-		return pj.graceBatch(subBuild, subProbe, res, depth+1)
-	}
-	// Stream the probe run in windows, like the row path streams it row by
-	// row, so the probe side never materializes whole.
-	rd, err := probeRun.Reader()
-	if err != nil {
-		return err
-	}
-	buf := make([]value.Row, 0, pj.bsize)
-	flush := func() error {
-		if len(buf) == 0 {
-			return nil
-		}
-		err := pj.probeBatch(table, buf)
-		buf = buf[:0]
-		return err
-	}
-	for {
-		row, more, err := rd.Next()
-		if err != nil {
-			_ = rd.Close()
-			return err
-		}
-		if !more {
-			break
-		}
-		buf = append(buf, row)
-		if len(buf) == pj.bsize {
-			if err := flush(); err != nil {
-				_ = rd.Close()
-				return err
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		_ = rd.Close()
-		return err
-	}
-	if err := rd.Close(); err != nil {
-		return err
-	}
-	return probeRun.Remove()
-}
-
-// spillSideBatch is the vectorized spillSide: same files, same order.
-func (pj *partJoin) spillSideBatch(label string, keys []plan.Expr, rows []value.Row, f int, salt uint64) ([]*spill.Run, error) {
-	writers := make([]*spill.Writer, f)
-	abortAll := func() {
-		for _, w := range writers {
-			if w != nil {
-				_ = w.Abort() // the original error is the actionable one
-			}
-		}
-	}
-	for i := range writers {
-		w, err := pj.ctx.Spill.NewWriterAt(fmt.Sprintf("%s-p%d-%d", label, pj.part, i), pj.attempt)
-		if err != nil {
-			abortAll()
-			return nil, err
-		}
-		writers[i] = w
-	}
-	var (
-		view batchView
-		ke   keyEval
-	)
-	width := viewWidth(rows)
-	for lo := 0; lo < len(rows); lo += pj.bsize {
-		hi := lo + pj.bsize
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		view.reset(rows, lo, hi, width)
-		if err := ke.eval(pj.ec, keys, &view); err != nil {
-			abortAll()
-			return nil, err
-		}
-		for i := 0; i < hi-lo; i++ {
-			idx := int(mix64(ke.hashes[i]^salt) % uint64(f))
-			if err := writers[idx].Append(rows[lo+i]); err != nil {
-				abortAll()
-				return nil, err
-			}
-		}
-	}
-	runs := make([]*spill.Run, f)
-	for i, w := range writers {
-		run, err := w.Finish()
-		if err != nil {
-			writers[i] = nil
-			abortAll()
-			removeRunSlice(runs)
-			return nil, err
-		}
-		writers[i] = nil
-		runs[i] = run
-	}
-	return runs, nil
-}
-
-// --- batch aggregation -------------------------------------------------------
-
-// buildBatch is partAgg.build for the batch executor: the iterator's rows are
-// buffered into windows, group keys and hashes (and non-fused aggregate
-// arguments) are evaluated columnar, then each row is routed in input order
-// through exactly the row path's group-lookup/overflow/Grow decisions. Key
-// tuples materialize only when a new group actually enters the table.
-// stepCol feeds lane i of column c into state st, using the unboxed stepper
-// fast paths when both the column storage and the state support them.
-// LabeledScalar lanes fall back to Step so labels reach states that keep them.
-func stepCol(st builtins.AggState, c *value.Col, i int) error {
-	if !c.Generic {
-		switch c.Kind {
-		case value.KindDouble:
-			if ds, ok := st.(builtins.DoubleStepper); ok {
-				return ds.StepDouble(c.F[i])
-			}
-		case value.KindInt:
-			if is, ok := st.(builtins.IntStepper); ok {
-				return is.StepInt(c.I[i])
-			}
-		}
-	}
-	return st.Step(c.Value(i))
-}
-
-func (pa *partAgg) buildBatch(next rowIter, res *spill.Reservation, depth int) (map[uint64][]*aggGroup, error) {
-	groups := map[uint64][]*aggGroup{}
-	force := depth >= maxGraceDepth
-	salt := graceSalt(depth)
-	var writers []*spill.Writer
-	abortAll := func() {
-		for _, w := range writers {
-			if w != nil {
-				_ = w.Abort() // the original error is the actionable one
-			}
-		}
-	}
-
-	fuse := !pa.ctx.DisableAggFusion
-	// Aggregate argument columns vectorize only for plain (non-fused,
-	// non-COUNT(*)) calls; fused states step from the original row.
-	vecArg := make([]bool, len(pa.a.Aggs))
-	for i, a := range pa.a.Aggs {
-		vecArg[i] = a.Input != nil && !(fuse && fusedOf(a) != fusedNone)
-	}
-	argCols := make([]*value.Col, len(pa.a.Aggs))
-	var vecInputs []plan.Expr
-	for i, a := range pa.a.Aggs {
-		if vecArg[i] {
-			vecInputs = append(vecInputs, a.Input)
-		}
-	}
-	pre := newPrefetcher(pa.a.GroupBy, vecInputs)
-
-	window := make([]value.Row, 0, pa.bsize)
-	var (
-		view batchView
-		ke   keyEval
-	)
-	done := false
-	for !done {
-		window = window[:0]
-		for len(window) < pa.bsize {
-			r, ok, err := next()
-			if err != nil {
-				abortAll()
-				return nil, err
-			}
-			if !ok {
-				done = true
-				break
-			}
-			window = append(window, r)
-		}
-		if len(window) == 0 {
-			break
-		}
-		view.reset(window, 0, len(window), viewWidth(window))
-		pre.gather(&view)
-		if err := ke.eval(pa.ec, pa.a.GroupBy, &view); err != nil {
-			abortAll()
-			return nil, err
-		}
-		for j, a := range pa.a.Aggs {
-			if !vecArg[j] {
-				continue
-			}
-			c, err := plan.EvalVec(pa.ec, a.Input, &view, nil)
-			if err != nil {
-				abortAll()
-				return nil, err
-			}
-			argCols[j] = c
-		}
-		for i, r := range window {
-			h := ke.hashes[i]
-			var g *aggGroup
-			for _, cand := range groups[h] {
-				if keyTupleEqual(ke.cols, i, cand.keys) {
-					g = cand
-					break
-				}
-			}
-			if g == nil {
-				if writers != nil {
-					idx := int(mix64(h^salt) % uint64(len(writers)))
-					if err := writers[idx].Append(r); err != nil {
-						abortAll()
-						return nil, err
-					}
-					continue
-				}
-				fp := ke.keyFootprintAt(i) + stateFootprint(len(pa.a.Aggs))
-				if res != nil && !force && !res.Grow(fp) {
-					writers = make([]*spill.Writer, aggSpillFanout)
-					for wi := range writers {
-						w, err := pa.ctx.Spill.NewWriterAt(fmt.Sprintf("agg-p%d-d%d-%d", pa.part, depth, wi), pa.attempt)
-						if err != nil {
-							abortAll()
-							return nil, err
-						}
-						writers[wi] = w
-					}
-					idx := int(mix64(h^salt) % uint64(len(writers)))
-					if err := writers[idx].Append(r); err != nil {
-						abortAll()
-						return nil, err
-					}
-					continue
-				}
-				if res != nil && force {
-					res.Force(fp)
-				}
-				g = &aggGroup{keys: ke.materializeAt(i), states: newStates(pa.a.Aggs, fuse)}
-				groups[h] = append(groups[h], g)
-			}
-			for j := range g.states {
-				var err error
-				switch {
-				case vecArg[j]:
-					err = stepCol(g.states[j], argCols[j], i)
-				case pa.a.Aggs[j].Input == nil:
-					// COUNT(*): any non-null marker.
-					if is, ok := g.states[j].(builtins.IntStepper); ok {
-						err = is.StepInt(1)
-					} else {
-						err = g.states[j].Step(value.Int(1))
-					}
-				default:
-					err = g.states[j].(*fusedSumState).stepFused(pa.ec, r)
-				}
-				if err != nil {
-					abortAll()
-					return nil, err
-				}
-			}
-		}
-	}
-	if writers == nil {
-		return groups, nil
-	}
-	runs := make([]*spill.Run, len(writers))
-	for i, w := range writers {
-		run, err := w.Finish()
-		if err != nil {
-			for j := i + 1; j < len(writers); j++ {
-				_ = writers[j].Abort()
-			}
-			removeRunSlice(runs)
-			return nil, err
-		}
-		runs[i] = run
-	}
-	for i, run := range runs {
-		child, err := pa.buildFromRun(run, res, depth+1)
-		runs[i] = nil
-		if err != nil {
-			removeRunSlice(runs)
-			return nil, err
-		}
-		if err := mergeGroupMaps(groups, child); err != nil {
-			removeRunSlice(runs)
-			return nil, err
-		}
-	}
-	return groups, nil
+	before := len(pj.rows)
+	forEachLane(n, sel, func(i int) { pj.rows = append(pj.rows, concat[i]) })
+	return pj.charge.tickN(len(pj.rows) - before)
 }

@@ -149,17 +149,16 @@ type Context struct {
 	// out-of-core under pressure instead of growing without bound.
 	Spill *spill.Manager
 	// KernelWorkers is this query's goroutine budget for parallel linalg
-	// kernels. 0 falls back to the deprecated process-wide default; the
-	// serving layer sets an explicit lease so concurrent queries share the
-	// machine instead of each assuming exclusive use.
+	// kernels. 0 sets no budget (EvalCtx returns nil and kernels may use
+	// GOMAXPROCS); the engine always sets one from the cluster shape, and the
+	// serving layer leases a share so concurrent queries split the machine
+	// instead of each assuming exclusive use.
 	KernelWorkers int
-	// BatchSize, when > 0, switches filter, project, the fused pipeline,
-	// hash-join build/probe, and partition-local aggregation to the
-	// vectorized batch executor: rows are processed in windows of this many
-	// as per-column arrays with selection vectors. 0 keeps the row-at-a-time
-	// executor. Results, ordering, charges, and spill behaviour are
-	// bit-identical either way (except LIMIT over a fused pipeline, which
-	// stops producing at the limit instead of materializing first).
+	// BatchSize is the executor's window: filter, project, the fused
+	// pipeline, hash-join build/probe, and partition-local aggregation process
+	// this many rows at a time as per-column arrays with selection vectors.
+	// 0 means DefaultBatchSize. It is a tuning value only: results, their
+	// order, tuple charges, and spill behaviour are the same at every size.
 	BatchSize int
 	// Adaptive, when non-nil with Factor > 1, enables mid-query
 	// re-optimization of join regions whose observed input cardinalities
@@ -172,6 +171,17 @@ type Context struct {
 	// re-plans each region at most once.
 	bound           map[plan.Node]*Relation
 	adaptiveHandled map[plan.Node]bool
+}
+
+// DefaultBatchSize is the window a zero Context.BatchSize selects.
+const DefaultBatchSize = 1024
+
+// window returns the batch window size.
+func (c *Context) window() int {
+	if c.BatchSize <= 0 {
+		return DefaultBatchSize
+	}
+	return c.BatchSize
 }
 
 // EvalCtx returns the expression-evaluation context for this query. The
@@ -209,15 +219,6 @@ func taskObs(ctx *Context) cluster.TaskObserver {
 // operator's working set: the codec's encoded payload plus slice and header
 // overhead.
 func rowFootprint(r value.Row) int64 { return int64(r.SizeBytes()) + 48 }
-
-// valsFootprint is the governed cost of a slice of evaluated key values.
-func valsFootprint(vals []value.Value) int64 {
-	n := int64(32)
-	for _, v := range vals {
-		n += int64(v.SizeBytes())
-	}
-	return n
-}
 
 // Run executes a plan and returns the materialized result.
 func Run(ctx *Context, n plan.Node) (*Relation, error) {
@@ -358,27 +359,11 @@ func runProject(ctx *Context, p *plan.Project) (*Relation, error) {
 	defer ctx.Timings.Track("project")()
 	out := make([][]value.Row, len(in.Parts))
 	ec := ctx.EvalCtx()
+	refs := colRefs(p.Exprs)
 	err = ctx.Cluster.ParallelTasks("project", taskObs(ctx), func(part, _ int) (func() error, error) {
-		var rows []value.Row
-		if ctx.BatchSize > 0 {
-			var err error
-			rows, err = batchProjectPart(ctx, ec, p.Exprs, in.Parts[part])
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			rows = make([]value.Row, 0, len(in.Parts[part]))
-			for _, r := range in.Parts[part] {
-				nr := make(value.Row, len(p.Exprs))
-				for i, e := range p.Exprs {
-					v, err := e.Eval(ec, r)
-					if err != nil {
-						return nil, err
-					}
-					nr[i] = v
-				}
-				rows = append(rows, nr)
-			}
+		rows, err := projectPart(ctx, ec, p.Exprs, refs, in.Parts[part])
+		if err != nil {
+			return nil, err
 		}
 		return func() error {
 			out[part] = rows
@@ -405,24 +390,11 @@ func runFilter(ctx *Context, f *plan.Filter) (*Relation, error) {
 	defer ctx.Timings.Track("filter")()
 	out := make([][]value.Row, len(in.Parts))
 	ec := ctx.EvalCtx()
+	refs := colRefs([]plan.Expr{f.Pred})
 	err = ctx.Cluster.ParallelTasks("filter", taskObs(ctx), func(part, _ int) (func() error, error) {
-		var rows []value.Row
-		if ctx.BatchSize > 0 {
-			var err error
-			rows, err = batchFilterPart(ctx, ec, f.Pred, in.Parts[part])
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			for _, r := range in.Parts[part] {
-				v, err := f.Pred.Eval(ec, r)
-				if err != nil {
-					return nil, err
-				}
-				if v.Kind == value.KindBool && v.B {
-					rows = append(rows, r)
-				}
-			}
+		rows, err := filterPart(ctx, ec, f.Pred, refs, in.Parts[part])
+		if err != nil {
+			return nil, err
 		}
 		return func() error {
 			out[part] = rows
@@ -440,6 +412,52 @@ func runFilter(ctx *Context, f *plan.Filter) (*Relation, error) {
 		return nil, opErr("filter", err)
 	}
 	return rel, nil
+}
+
+// filterPart filters one partition's rows by pred in windows, appending
+// kept row references; refs is colRefs of pred.
+func filterPart(ctx *Context, ec *plan.EvalCtx, pred plan.Expr, refs []int, rows []value.Row) ([]value.Row, error) {
+	var (
+		out  []value.Row
+		view batchView
+		sbuf []int32
+	)
+	width := viewWidth(rows)
+	win := ctx.window()
+	for lo := 0; lo < len(rows); lo += win {
+		hi := min(lo+win, len(rows))
+		view.reset(rows, lo, hi, width)
+		view.prefetch(refs)
+		col, err := plan.EvalVec(ec, pred, &view, nil)
+		if err != nil {
+			return nil, err
+		}
+		sel := filterSel(col, hi-lo, nil, sbuf)
+		if cap(sel) > 0 {
+			sbuf = sel
+		}
+		forEachLane(hi-lo, sel, func(i int) { out = append(out, rows[lo+i]) })
+	}
+	return out, nil
+}
+
+// projectPart projects one partition's rows in windows; refs is colRefs of
+// exprs.
+func projectPart(ctx *Context, ec *plan.EvalCtx, exprs []plan.Expr, refs []int, rows []value.Row) ([]value.Row, error) {
+	out := make([]value.Row, 0, len(rows))
+	var arena rowArena
+	sc := windowScratch{proj: newProjector(exprs, refs)}
+	width := viewWidth(rows)
+	win := ctx.window()
+	for lo := 0; lo < len(rows); lo += win {
+		hi := min(lo+win, len(rows))
+		sc.view.reset(rows, lo, hi, width)
+		var err error
+		if out, err = sc.proj.project(ec, &sc.view, nil, &arena, out); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 func runSort(ctx *Context, s *plan.Sort) (*Relation, error) {
@@ -521,21 +539,17 @@ func compareForSort(a, b value.Value) (int, error) {
 }
 
 func runLimit(ctx *Context, l *plan.Limit) (*Relation, error) {
-	// In batch mode, a fused-pipeline input takes the limit as a per-partition
-	// cap: production stops at l.N rows via the selection vector, so the
-	// discarded tail of a batch is neither materialized by the arena nor
-	// charged to the tuple budget (the row path materializes and charges every
-	// surviving pipeline row first).
+	// A fused-pipeline input takes the limit as a per-partition cap:
+	// production stops at l.N rows via the selection vector, so the discarded
+	// tail of a window is neither materialized nor charged to the tuple
+	// budget.
 	var (
 		in  *Relation
 		err error
 	)
-	if ctx.BatchSize > 0 {
-		if sp := matchPipeline(ctx, l.Input); sp != nil {
-			in, err = runPipelineLimited(ctx, sp, l.N)
-		}
-	}
-	if in == nil && err == nil {
+	if sp := matchPipeline(ctx, l.Input); sp != nil {
+		in, err = runPipelineLimited(ctx, sp, l.N)
+	} else {
 		in, err = Run(ctx, l.Input)
 	}
 	if err != nil {

@@ -26,13 +26,10 @@ const (
 	fusedMatMulSum
 )
 
-// fusedOf reports the applicable fusion for one aggregate call. An explicit
-// optimizer decision (AggCall.Fuse != FuseAuto) wins; FuseAuto — the zero
-// value, what hand-built plans and a rewrites-disabled optimizer produce —
-// falls back to the executor's own pattern match, preserving the legacy
-// behaviour. Either way the structural requirements (a two-argument call)
-// are re-verified, so a mismarked plan degrades to unfused instead of
-// panicking in newStates.
+// fusedOf reports the fusion the optimizer marked on one aggregate call
+// (AggCall.Fuse); the executor never derives the decision itself. The
+// structural requirements (a two-argument call) are re-verified, so a
+// mismarked plan degrades to unfused instead of panicking in newStates.
 func fusedOf(a plan.AggCall) fusedKind {
 	if a.Spec.Name != "sum" || a.Input == nil {
 		return fusedNone
@@ -42,17 +39,9 @@ func fusedOf(a plan.AggCall) fusedKind {
 		return fusedNone
 	}
 	switch a.Fuse {
-	case plan.FuseNone:
-		return fusedNone
 	case plan.FuseOuterSum:
 		return fusedOuterSum
 	case plan.FuseMatMulSum:
-		return fusedMatMulSum
-	}
-	switch call.Fn.Name {
-	case "outer_product":
-		return fusedOuterSum
-	case "matrix_multiply":
 		return fusedMatMulSum
 	}
 	return fusedNone

@@ -21,29 +21,37 @@ func outerSumCall(t *testing.T) plan.AggCall {
 		Args: []plan.Expr{col(0, vecT), col(0, vecT)},
 		T:    types.TMatrix(types.KnownDim(2), types.KnownDim(2)),
 	}
-	return plan.AggCall{Spec: spec, Input: input, T: input.T}
+	return plan.AggCall{Spec: spec, Input: input, T: input.T, Fuse: plan.FuseOuterSum}
 }
 
+// TestFusedOfDetection: the executor honours the optimizer's marks and
+// nothing else, re-checking only the structural requirements.
 func TestFusedOfDetection(t *testing.T) {
 	call := outerSumCall(t)
 	if fusedOf(call) != fusedOuterSum {
-		t.Fatal("SUM(outer_product) not detected")
+		t.Fatal("marked SUM(outer_product) not fused")
+	}
+	// An unmarked call never fuses: the executor does not pattern-match.
+	unmarked := call
+	unmarked.Fuse = plan.FuseNone
+	if fusedOf(unmarked) != fusedNone {
+		t.Fatal("unmarked SUM(outer_product) fused")
 	}
 	// COUNT never fuses.
 	cnt, _ := builtins.LookupAgg("count")
-	if fusedOf(plan.AggCall{Spec: cnt, Input: call.Input}) != fusedNone {
+	if fusedOf(plan.AggCall{Spec: cnt, Input: call.Input, Fuse: plan.FuseOuterSum}) != fusedNone {
 		t.Fatal("COUNT misfused")
 	}
-	// SUM of a plain column never fuses.
+	// A mismarked SUM of a plain column degrades to unfused.
 	sum, _ := builtins.LookupAgg("sum")
-	if fusedOf(plan.AggCall{Spec: sum, Input: col(0, types.TDouble)}) != fusedNone {
+	if fusedOf(plan.AggCall{Spec: sum, Input: col(0, types.TDouble), Fuse: plan.FuseOuterSum}) != fusedNone {
 		t.Fatal("plain SUM misfused")
 	}
 	// SUM(matrix_multiply) fuses.
 	mm, _ := builtins.Lookup("matrix_multiply")
 	mcall := &plan.Call{Fn: mm, Args: []plan.Expr{col(0, types.TMatrix(types.UnknownDim, types.UnknownDim)), col(0, types.TMatrix(types.UnknownDim, types.UnknownDim))}}
-	if fusedOf(plan.AggCall{Spec: sum, Input: mcall}) != fusedMatMulSum {
-		t.Fatal("SUM(matrix_multiply) not detected")
+	if fusedOf(plan.AggCall{Spec: sum, Input: mcall, Fuse: plan.FuseMatMulSum}) != fusedMatMulSum {
+		t.Fatal("marked SUM(matrix_multiply) not fused")
 	}
 }
 
@@ -61,7 +69,7 @@ func TestFusedOuterSumMatchesUnfused(t *testing.T) {
 		t.Fatalf("state is %T, want fused", states[0])
 	}
 	for _, r := range rows {
-		if err := stepStates(nil, states, []plan.AggCall{call}, r); err != nil {
+		if err := fused.stepFused(nil, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -242,6 +250,7 @@ func TestFusedMatMulSum(t *testing.T) {
 		Spec:  spec,
 		Input: &plan.Call{Fn: mm, Args: []plan.Expr{col(0, mt), col(1, mt)}, T: mt},
 		T:     mt,
+		Fuse:  plan.FuseMatMulSum,
 	}
 	st := newStates([]plan.AggCall{call}, true)[0].(*fusedSumState)
 	id := linalg.Identity(2)

@@ -169,7 +169,6 @@ func runJoinWith(ctx *Context, j *plan.Join, proj *projectSpec) (*Relation, erro
 			charge:    newCharger(ctx, "hash join"),
 			part:      part,
 			attempt:   attempt,
-			bsize:     ctx.BatchSize,
 		}
 		if err := pj.run(buildRows, probeRows); err != nil {
 			return nil, err
@@ -212,7 +211,6 @@ type partJoin struct {
 	charge    *charger
 	part      int
 	attempt   int // owning task attempt; keys spill write-fault draws
-	bsize     int // >0 switches this partition to the batch executor
 	em        *batchEmitter
 	rows      []value.Row
 }
@@ -226,24 +224,21 @@ const maxGraceDepth = 3
 // strictly-in-memory hash join; with one, a denied build-table reservation
 // switches the partition to grace mode.
 func (pj *partJoin) run(buildRows, probeRows []value.Row) error {
-	if pj.bsize > 0 {
-		return pj.runBatch(buildRows, probeRows)
-	}
 	if !pj.ctx.spillEnabled() {
-		table, _, err := pj.buildTable(buildRows, nil, false)
+		table, _, err := pj.buildTable(buildRows, nil)
 		if err != nil {
 			return err
 		}
-		return pj.probeSlice(table, probeRows)
+		return pj.probe(table, probeRows)
 	}
 	res := pj.ctx.Spill.Governor().Reservation("hash join build")
 	defer res.Release()
-	table, ok, err := pj.buildTable(buildRows, res, false)
+	table, ok, err := pj.buildTable(buildRows, res.Grow)
 	if err != nil {
 		return err
 	}
 	if ok {
-		return pj.probeSlice(table, probeRows)
+		return pj.probe(table, probeRows)
 	}
 	// The build side does not fit. Discard the partial table (re-reading the
 	// original slice keeps the spill files in input order; draining the map
@@ -252,70 +247,100 @@ func (pj *partJoin) run(buildRows, probeRows []value.Row) error {
 	return pj.grace(buildRows, probeRows, res, 0)
 }
 
-// buildTable builds the hash table over rows. With a reservation, a denied
-// growth aborts the build and returns ok=false; with force set the bytes are
-// charged unconditionally instead (max recursion depth).
-func (pj *partJoin) buildTable(rows []value.Row, res *spill.Reservation, force bool) (map[uint64][]joinBucket, bool, error) {
+// buildTable builds the hash table over rows, in input order, with columnar
+// key evaluation and hashing. admit, when non-nil, is asked for each row's
+// footprint before the row enters the table; a refusal aborts the build and
+// returns ok=false.
+func (pj *partJoin) buildTable(rows []value.Row, admit func(bytes int64) bool) (map[uint64][]joinBucket, bool, error) {
 	table := make(map[uint64][]joinBucket, len(rows))
-	for _, r := range rows {
-		kv, err := evalKeys(pj.ec, pj.buildKeys, r)
-		if err != nil {
+	var (
+		view batchView
+		ke   keyEval
+	)
+	width := viewWidth(rows)
+	win := pj.ctx.window()
+	for lo := 0; lo < len(rows); lo += win {
+		hi := min(lo+win, len(rows))
+		view.reset(rows, lo, hi, width)
+		if err := ke.eval(pj.ec, pj.buildKeys, &view); err != nil {
 			return nil, false, err
 		}
-		if res != nil {
-			fp := rowFootprint(r) + valsFootprint(kv)
-			if force {
-				res.Force(fp)
-			} else if !res.Grow(fp) {
+		for i := 0; i < hi-lo; i++ {
+			r := rows[lo+i]
+			if admit != nil && !admit(rowFootprint(r)+ke.keyFootprintAt(i)) {
 				return nil, false, nil
 			}
+			h := ke.hashes[i]
+			table[h] = append(table[h], joinBucket{keys: ke.materializeAt(i), row: r})
 		}
-		h := hashVals(kv)
-		table[h] = append(table[h], joinBucket{keys: kv, row: r})
 	}
 	return table, true, nil
 }
 
-// probeSlice probes every row of the slice against the table.
-func (pj *partJoin) probeSlice(table map[uint64][]joinBucket, probeRows []value.Row) error {
-	for _, pr := range probeRows {
-		if err := pj.probeRow(table, pr); err != nil {
+// probe probes probeRows against the table in windows: probe keys and
+// hashes are computed columnar, bucket scans compare column lanes against the
+// stored key tuples without materializing probe-side tuples, and each
+// window's matches emit through the vectorized residual/projection path in
+// match order.
+func (pj *partJoin) probe(table map[uint64][]joinBucket, probeRows []value.Row) error {
+	var (
+		view   batchView
+		ke     keyEval
+		mb, mp []value.Row
+	)
+	if pj.em == nil {
+		pj.em = newBatchEmitter(pj)
+	}
+	width := viewWidth(probeRows)
+	win := pj.ctx.window()
+	for lo := 0; lo < len(probeRows); lo += win {
+		hi := min(lo+win, len(probeRows))
+		view.reset(probeRows, lo, hi, width)
+		if err := ke.eval(pj.ec, pj.probeKeys, &view); err != nil {
+			return err
+		}
+		mb, mp = mb[:0], mp[:0]
+		for i := 0; i < hi-lo; i++ {
+			bucket := table[ke.hashes[i]]
+			if len(bucket) == 0 {
+				continue
+			}
+			pr := probeRows[lo+i]
+			for _, b := range bucket {
+				if !keyTupleEqual(ke.cols, i, b.keys) {
+					continue
+				}
+				mb = append(mb, b.row)
+				mp = append(mp, pr)
+			}
+		}
+		if err := pj.em.flush(mb, mp); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// probeRow emits the join output for one probe row.
-func (pj *partJoin) probeRow(table map[uint64][]joinBucket, pr value.Row) error {
-	kv, err := evalKeys(pj.ec, pj.probeKeys, pr)
-	if err != nil {
-		return err
-	}
-	for _, b := range table[hashVals(kv)] {
-		if !valsEqual(kv, b.keys) {
-			continue
-		}
-		if err := pj.emitMatch(b.row, pr); err != nil {
-			return err
-		}
-	}
-	return nil
+// graceShare is the partition's fixed share of the memory budget. Grace
+// fanout sizes sub-partitions to fit it, and a sub-build that still exceeds
+// it recurses. Judging sub-builds against this fixed share, rather than
+// against whatever the shared governor has free at that moment, keeps the
+// recursion — and so the output order — independent of what the other
+// partitions happen to hold.
+func (pj *partJoin) graceShare() int64 {
+	share := pj.ctx.Spill.Governor().Budget() / int64(pj.ctx.Cluster.Partitions())
+	return max(share, minGraceShare)
 }
 
-// graceFanout picks the sub-partition count so each sub-build plausibly fits
-// the partition's budget share: enough files to subdivide the estimated build
-// bytes, clamped to keep file counts sane.
+// graceFanout picks the sub-partition count: enough files that the average
+// sub-build is half the partition's budget share, so hash skew rarely pushes
+// one over it into a recursion, clamped to keep file counts sane.
 func (pj *partJoin) graceFanout(buildRows []value.Row) int {
 	var est int64
 	for _, r := range buildRows {
 		est += rowFootprint(r)
 	}
-	share := pj.ctx.Spill.Governor().Budget() / int64(pj.ctx.Cluster.Partitions())
-	if share < minGraceShare {
-		share = minGraceShare
-	}
-	f := int(est/share) + 1
+	f := int(2*est/pj.graceShare()) + 1
 	if f < 4 {
 		f = 4
 	}
@@ -338,17 +363,17 @@ const minGraceShare = 16 << 10
 func (pj *partJoin) grace(buildRows, probeRows []value.Row, res *spill.Reservation, depth int) error {
 	f := pj.graceFanout(buildRows)
 	salt := graceSalt(depth)
-	buildRuns, err := pj.spillSide("join-build", pj.buildKeys, buildRows, f, salt)
+	buildRuns, err := pj.scatterSide("join-build", pj.buildKeys, buildRows, f, salt)
 	if err != nil {
 		return err
 	}
-	probeRuns, err := pj.spillSide("join-probe", pj.probeKeys, probeRows, f, salt)
+	probeRuns, err := pj.scatterSide("join-probe", pj.probeKeys, probeRows, f, salt)
 	if err != nil {
 		removeRunSlice(buildRuns)
 		return err
 	}
 	for i := 0; i < f; i++ {
-		err := pj.graceSub(buildRuns[i], probeRuns[i], res, depth)
+		err := pj.joinRuns(buildRuns[i], probeRuns[i], res, depth)
 		buildRuns[i], probeRuns[i] = nil, nil
 		if err != nil {
 			removeRunSlice(buildRuns)
@@ -359,8 +384,9 @@ func (pj *partJoin) grace(buildRows, probeRows []value.Row, res *spill.Reservati
 	return nil
 }
 
-// graceSub joins one sub-partition pair and removes its run files.
-func (pj *partJoin) graceSub(buildRun, probeRun *spill.Run, res *spill.Reservation, depth int) error {
+// joinRuns joins one sub-partition pair and removes its run files: the
+// build side is re-read whole, the probe side streams in windows.
+func (pj *partJoin) joinRuns(buildRun, probeRun *spill.Run, res *spill.Reservation, depth int) error {
 	defer res.Reset()
 	if buildRun.Rows == 0 || probeRun.Rows == 0 {
 		// No matches possible; just reclaim the disk.
@@ -376,7 +402,14 @@ func (pj *partJoin) graceSub(buildRun, probeRun *spill.Run, res *spill.Reservati
 	if err := buildRun.Remove(); err != nil {
 		return err
 	}
-	table, ok, err := pj.buildTable(subBuild, res, depth+1 >= maxGraceDepth)
+	share, last := pj.graceShare(), depth+1 >= maxGraceDepth
+	table, ok, err := pj.buildTable(subBuild, func(bytes int64) bool {
+		if !last && res.Held()+bytes > share {
+			return false
+		}
+		res.Force(bytes) // within the share, or unsplittable at max depth
+		return true
+	})
 	if err != nil {
 		_ = probeRun.Remove() // the build error is the actionable one
 		return err
@@ -397,19 +430,26 @@ func (pj *partJoin) graceSub(buildRun, probeRun *spill.Run, res *spill.Reservati
 	if err != nil {
 		return err
 	}
-	for {
-		row, more, err := rd.Next()
-		if err != nil {
-			_ = rd.Close()
-			return err
-		}
-		if !more {
+	win := pj.ctx.window()
+	buf := make([]value.Row, 0, win)
+	for more := true; more; {
+		var row value.Row
+		if row, more, err = rd.Next(); err != nil {
 			break
 		}
-		if err := pj.probeRow(table, row); err != nil {
-			_ = rd.Close()
-			return err
+		if more {
+			buf = append(buf, row)
 		}
+		if len(buf) == win || !more {
+			if err = pj.probe(table, buf); err != nil {
+				break
+			}
+			buf = buf[:0]
+		}
+	}
+	if err != nil {
+		_ = rd.Close()
+		return err
 	}
 	if err := rd.Close(); err != nil {
 		return err
@@ -417,9 +457,9 @@ func (pj *partJoin) graceSub(buildRun, probeRun *spill.Run, res *spill.Reservati
 	return probeRun.Remove()
 }
 
-// spillSide hash-scatters one side's rows into f run files by
+// scatterSide hash-scatters one side's rows into f run files by
 // mix64(keyHash^salt) % f, preserving input order within each file.
-func (pj *partJoin) spillSide(label string, keys []plan.Expr, rows []value.Row, f int, salt uint64) ([]*spill.Run, error) {
+func (pj *partJoin) scatterSide(label string, keys []plan.Expr, rows []value.Row, f int, salt uint64) ([]*spill.Run, error) {
 	writers := make([]*spill.Writer, f)
 	abortAll := func() {
 		for _, w := range writers {
@@ -436,16 +476,25 @@ func (pj *partJoin) spillSide(label string, keys []plan.Expr, rows []value.Row, 
 		}
 		writers[i] = w
 	}
-	for _, r := range rows {
-		kv, err := evalKeys(pj.ec, keys, r)
-		if err != nil {
+	var (
+		view batchView
+		ke   keyEval
+	)
+	width := viewWidth(rows)
+	win := pj.ctx.window()
+	for lo := 0; lo < len(rows); lo += win {
+		hi := min(lo+win, len(rows))
+		view.reset(rows, lo, hi, width)
+		if err := ke.eval(pj.ec, keys, &view); err != nil {
 			abortAll()
 			return nil, err
 		}
-		idx := int(mix64(hashVals(kv)^salt) % uint64(f))
-		if err := writers[idx].Append(r); err != nil {
-			abortAll()
-			return nil, err
+		for i := 0; i < hi-lo; i++ {
+			idx := int(mix64(ke.hashes[i]^salt) % uint64(f))
+			if err := writers[idx].Append(rows[lo+i]); err != nil {
+				abortAll()
+				return nil, err
+			}
 		}
 	}
 	runs := make([]*spill.Run, f)
@@ -539,6 +588,17 @@ func (c *charger) tick() error {
 	if c.sinceCheck >= 4096 {
 		c.sinceCheck = 0
 		return opErr(c.op, c.ctx.Cluster.CheckBudget(c.total))
+	}
+	return nil
+}
+
+// tickN counts k produced tuples, peeking at the budget at the same points k
+// single ticks would.
+func (c *charger) tickN(k int) error {
+	for ; k > 0; k-- {
+		if err := c.tick(); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -11,16 +11,14 @@ import (
 // This file is the executor's streaming path over persistent storage: when
 // the table source exposes paged tables, the fused scan→filter→project
 // pipeline pulls one page at a time through the buffer pool instead of
-// materializing whole partitions. In batch mode each page decodes straight
-// into value.Col windows, so the stored data never takes row form unless an
-// expression's scalar fallback asks for a row.
+// materializing whole partitions. Each page decodes straight into value.Col
+// windows, so the stored data never takes row form unless an expression's
+// scalar fallback asks for a row.
 
 // PagedTable is one stored table the executor can stream page by page.
 type PagedTable interface {
 	// Parts is the stored partition count.
 	Parts() int
-	// ScanPartRows streams one partition's rows a page at a time.
-	ScanPartRows(part int, fn func(rows []value.Row) error) error
 	// ScanPartBatches streams one partition's pages as columnar batches.
 	ScanPartBatches(part int, fn func(b *value.Batch) error) error
 }
@@ -54,97 +52,18 @@ func pagedScan(ctx *Context, s *plan.Scan) PagedTable {
 // errPagedStop ends a page scan early (a pushed-down LIMIT is satisfied).
 var errPagedStop = errors.New("exec: stop paged scan")
 
-// runPipelinePaged executes a fused Project?(Filter*(Scan)) chain by
-// streaming pages: each partition holds one pinned page at a time, so the
-// working set is bounded by the buffer pool, not the table size.
-func runPipelinePaged(ctx *Context, sp *plan.Pipeline, pt PagedTable, limit int) (*Relation, error) {
-	defer ctx.Timings.Track("pipeline")()
-	out := make([][]value.Row, ctx.Cluster.Partitions())
-	ec := ctx.EvalCtx()
-	err := ctx.Cluster.ParallelTasks("pipeline", taskObs(ctx), func(part, _ int) (func() error, error) {
-		var rows []value.Row
-		var err error
-		if ctx.BatchSize > 0 {
-			rows, err = pagedBatchPart(ec, sp, pt, part, limit)
-		} else {
-			rows, err = pagedRowPart(ec, sp, pt, part)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return func() error {
-			out[part] = rows
-			return nil
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	rel := &Relation{Schema: sp.Out, Parts: out}
-	if sp.Exprs == nil {
-		rel.HashKeys = scanHashKeys(sp.Scan)
-	}
-	if err := ctx.Cluster.ChargeTuples(int64(rel.NumRows())); err != nil {
-		return nil, opErr("pipeline", err)
-	}
-	return rel, nil
-}
-
-// pagedRowPart is the row-at-a-time pipeline body over one partition's
-// pages. Decoded page rows own their storage, so unprojected survivors are
-// kept as-is.
-func pagedRowPart(ec *plan.EvalCtx, sp *plan.Pipeline, pt PagedTable, part int) ([]value.Row, error) {
-	var arena rowArena
-	var out []value.Row
-	err := pt.ScanPartRows(part, func(page []value.Row) error {
-		for _, r := range page {
-			keep := true
-			for _, pred := range sp.Filters {
-				v, err := pred.Eval(ec, r)
-				if err != nil {
-					return err
-				}
-				if v.Kind != value.KindBool || !v.B {
-					keep = false
-					break
-				}
-			}
-			if !keep {
-				continue
-			}
-			if sp.Exprs == nil {
-				out = append(out, r)
-				continue
-			}
-			nr := arena.alloc(len(sp.Exprs))
-			for i, e := range sp.Exprs {
-				v, err := e.Eval(ec, r)
-				if err != nil {
-					return err
-				}
-				nr[i] = v
-			}
-			out = append(out, nr)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// pagedBatchPart is the vectorized pipeline body over one partition's pages.
-// The window is the page itself: its decoded columnar batch feeds EvalVec
-// directly, selection vectors thread the filters, and only surviving lanes
-// materialize as rows.
-func pagedBatchPart(ec *plan.EvalCtx, sp *plan.Pipeline, pt PagedTable, part, limit int) ([]value.Row, error) {
+// pagedPipelinePart is the pipeline body over one partition's pages: each
+// partition holds one pinned page at a time, so the working set is bounded
+// by the buffer pool, not the table size. The window is the page itself: its
+// decoded columnar batch feeds EvalVec directly, selection vectors thread the
+// filters, and only surviving lanes materialize as rows.
+func pagedPipelinePart(ec *plan.EvalCtx, sp *plan.Pipeline, pt PagedTable, part, limit int) ([]value.Row, error) {
 	var (
 		out   []value.Row
 		arena rowArena
 		sbuf  []int32
+		cols  []*value.Col
 	)
-	var cols []*value.Col
 	if sp.Exprs != nil {
 		cols = make([]*value.Col, len(sp.Exprs))
 	}
@@ -154,35 +73,20 @@ func pagedBatchPart(ec *plan.EvalCtx, sp *plan.Pipeline, pt PagedTable, part, li
 		}
 		src := pageSource{b: b}
 		n := b.N
-		sel := []int32(nil) // nil = every lane live
-		for _, pred := range sp.Filters {
-			col, err := plan.EvalVec(ec, pred, &src, sel)
-			if err != nil {
-				return err
-			}
-			sbuf = filterSel(col, n, sel, sbuf)
-			sel = sbuf
-			if len(sel) == 0 {
-				return nil
-			}
+		sel, err := filterLanes(ec, sp.Filters, &src, n, &sbuf)
+		if err != nil || (sel != nil && len(sel) == 0) {
+			return err
 		}
 		if limit >= 0 {
-			remaining := limit - len(out)
-			if sel == nil && n > remaining {
-				sel = allSel(sbuf, n)[:remaining]
-			} else if sel != nil && len(sel) > remaining {
-				sel = sel[:remaining]
-			}
+			sel = capLanes(sel, n, limit-len(out))
 		}
 		emitCols := cols
-		width := len(sp.Exprs)
 		if sp.Exprs == nil {
 			// No projection: emit the page's own columns.
 			emitCols = make([]*value.Col, len(b.Cols))
 			for j := range b.Cols {
 				emitCols[j] = &b.Cols[j]
 			}
-			width = len(b.Cols)
 		} else {
 			for j, e := range sp.Exprs {
 				c, err := plan.EvalVec(ec, e, &src, sel)
@@ -192,22 +96,7 @@ func pagedBatchPart(ec *plan.EvalCtx, sp *plan.Pipeline, pt PagedTable, part, li
 				emitCols[j] = c
 			}
 		}
-		emit := func(i int) {
-			nr := arena.alloc(width)
-			for j := range emitCols {
-				nr[j] = emitCols[j].Value(i)
-			}
-			out = append(out, nr)
-		}
-		if sel == nil {
-			for i := 0; i < n; i++ {
-				emit(i)
-			}
-		} else {
-			for _, i := range sel {
-				emit(int(i))
-			}
-		}
+		out = emitRows(out, &arena, emitCols, n, sel)
 		return nil
 	})
 	if err != nil && !errors.Is(err, errPagedStop) {

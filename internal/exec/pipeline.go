@@ -23,17 +23,21 @@ func matchPipeline(ctx *Context, n plan.Node) *plan.Pipeline {
 	return plan.MatchPipeline(n)
 }
 
-// arenaChunk is how many value slots a pipeline arena allocates at once:
-// large enough to amortize the per-row allocation down to noise, small
-// enough that a short partition doesn't hold a meaningfully oversized block.
-const arenaChunk = 4096
-
-// rowArena hands out value.Row storage carved from chunked allocations. One
-// arena serves one partition goroutine, so no locking. Rows remain valid
-// forever (the chunks are never reused) — the arena only batches what the
-// unfused path would have allocated row by row.
+// rowArena hands out value.Row storage carved from one allocation per emit
+// loop. One arena serves one partition goroutine, so no locking. Rows remain
+// valid forever (the blocks are never reused) — the arena only batches what
+// would otherwise be one allocation per row.
 type rowArena struct {
 	buf []value.Value
+}
+
+// reserve makes room for n more values in a single allocation. Callers size
+// it to the rows they are about to emit, so short outputs hold no oversized
+// block.
+func (a *rowArena) reserve(n int) {
+	if len(a.buf) < n {
+		a.buf = make([]value.Value, n)
+	}
 }
 
 // alloc returns a zeroed row of n values with capacity clipped to n, so an
@@ -42,13 +46,7 @@ func (a *rowArena) alloc(n int) value.Row {
 	if n == 0 {
 		return value.Row{}
 	}
-	if len(a.buf) < n {
-		size := arenaChunk
-		if n > size {
-			size = n
-		}
-		a.buf = make([]value.Value, size)
-	}
+	a.reserve(n)
 	r := a.buf[:n:n]
 	a.buf = a.buf[n:]
 	return value.Row(r)
@@ -67,63 +65,40 @@ func runPipeline(ctx *Context, sp *plan.Pipeline) (*Relation, error) {
 }
 
 // runPipelineLimited is runPipeline with an optional per-partition row cap
-// (limit < 0 means none). Only the batch executor takes the cap: runLimit
-// pushes its N down so each partition stops producing — and charging — at N
-// rows, truncating inside a batch via the selection vector.
+// (limit < 0 means none): runLimit pushes its N down so each partition stops
+// producing — and charging — at N rows, truncating inside a window via the
+// selection vector.
 func runPipelineLimited(ctx *Context, sp *plan.Pipeline, limit int) (*Relation, error) {
+	defer ctx.Timings.Track("pipeline")()
+	var (
+		parts [][]value.Row
+		keys  []string
+		err   error
+	)
 	// A paged table source streams the scan through the buffer pool instead
 	// of materializing partitions; see paged.go.
-	if pt := pagedScan(ctx, sp.Scan); pt != nil {
-		return runPipelinePaged(ctx, sp, pt, limit)
-	}
-	defer ctx.Timings.Track("pipeline")()
-	parts, keys, err := scanParts(ctx, sp.Scan)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]value.Row, len(parts))
-	ec := ctx.EvalCtx()
-	err = ctx.Cluster.ParallelTasks("pipeline", taskObs(ctx), func(part, _ int) (func() error, error) {
-		if ctx.BatchSize > 0 {
-			rows, err := batchPipelinePart(ctx, ec, sp, parts[part], limit)
-			if err != nil {
-				return nil, err
-			}
-			return func() error {
-				out[part] = rows
-				return nil
-			}, nil
+	pt := pagedScan(ctx, sp.Scan)
+	if pt == nil {
+		parts, keys, err = scanParts(ctx, sp.Scan)
+		if err != nil {
+			return nil, err
 		}
-		var arena rowArena
+	} else {
+		keys = scanHashKeys(sp.Scan)
+	}
+	out := make([][]value.Row, ctx.Cluster.Partitions())
+	ec := ctx.EvalCtx()
+	filterRefs, projRefs := colRefs(sp.Filters), colRefs(sp.Exprs)
+	err = ctx.Cluster.ParallelTasks("pipeline", taskObs(ctx), func(part, _ int) (func() error, error) {
 		var rows []value.Row
-		for _, r := range parts[part] {
-			keep := true
-			for _, pred := range sp.Filters {
-				v, err := pred.Eval(ec, r)
-				if err != nil {
-					return nil, err
-				}
-				if v.Kind != value.KindBool || !v.B {
-					keep = false
-					break
-				}
-			}
-			if !keep {
-				continue
-			}
-			if sp.Exprs == nil {
-				rows = append(rows, r)
-				continue
-			}
-			nr := arena.alloc(len(sp.Exprs))
-			for i, e := range sp.Exprs {
-				v, err := e.Eval(ec, r)
-				if err != nil {
-					return nil, err
-				}
-				nr[i] = v
-			}
-			rows = append(rows, nr)
+		var err error
+		if pt != nil {
+			rows, err = pagedPipelinePart(ec, sp, pt, part, limit)
+		} else {
+			rows, err = pipelinePart(ctx, ec, sp, filterRefs, projRefs, parts[part], limit)
+		}
+		if err != nil {
+			return nil, err
 		}
 		return func() error {
 			out[part] = rows
@@ -141,4 +116,55 @@ func runPipelineLimited(ctx *Context, sp *plan.Pipeline, limit int) (*Relation, 
 		return nil, opErr("pipeline", err)
 	}
 	return rel, nil
+}
+
+// pipelinePart runs the fused filter→project chain over one partition in
+// windows. Only the filter columns (filterRefs) are gathered for the whole
+// window; the projection, if any, runs over the rows that survive. limit < 0
+// means unbounded; otherwise production stops after limit rows.
+func pipelinePart(ctx *Context, ec *plan.EvalCtx, sp *plan.Pipeline, filterRefs, projRefs []int, rows []value.Row, limit int) ([]value.Row, error) {
+	var (
+		out   []value.Row
+		sc    windowScratch
+		arena rowArena
+		sbuf  []int32
+	)
+	if sp.Exprs != nil {
+		sc.proj = newProjector(sp.Exprs, projRefs)
+	}
+	width := viewWidth(rows)
+	win := ctx.window()
+	for lo := 0; lo < len(rows); lo += win {
+		if limit >= 0 && len(out) >= limit {
+			break
+		}
+		hi := min(lo+win, len(rows))
+		sc.view.reset(rows, lo, hi, width)
+		sc.view.prefetch(filterRefs)
+		n := hi - lo
+		sel, err := filterLanes(ec, sp.Filters, &sc.view, n, &sbuf)
+		if err != nil {
+			return nil, err
+		}
+		if sel != nil && len(sel) == 0 {
+			continue
+		}
+		if limit >= 0 {
+			sel = capLanes(sel, n, limit-len(out))
+		}
+		if sp.Exprs != nil {
+			if out, err = sc.proj.project(ec, &sc.view, sel, &arena, out); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		if sel == nil {
+			out = append(out, rows[lo:hi]...)
+			continue
+		}
+		for _, i := range sel {
+			out = append(out, rows[lo+int(i)])
+		}
+	}
+	return out, nil
 }

@@ -256,19 +256,3 @@ func TestParallelKernelShapeErrors(t *testing.T) {
 		t.Fatal("add shape mismatch should fail")
 	}
 }
-
-func TestDefaultWorkersBudget(t *testing.T) {
-	defer SetDefaultWorkers(0)
-	SetDefaultWorkers(3)
-	if DefaultWorkers() != 3 {
-		t.Fatalf("budget %d, want 3", DefaultWorkers())
-	}
-	SetDefaultWorkers(0)
-	if DefaultWorkers() < 1 {
-		t.Fatalf("unset budget %d, want >= 1", DefaultWorkers())
-	}
-	SetDefaultWorkers(-5)
-	if DefaultWorkers() < 1 {
-		t.Fatalf("negative budget resolves to %d, want GOMAXPROCS default", DefaultWorkers())
-	}
-}

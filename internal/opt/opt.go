@@ -35,10 +35,10 @@ type Options struct {
 	// Rewrites enables the algebraic rewrite pass that runs before join
 	// ordering: matrix-chain reordering, outer-product recognition,
 	// double-transpose elimination, filter pushdown through projections,
-	// aggregate pushdown through linear LA functions, common-subexpression
-	// elimination, and explicit fused-aggregation marking. Disabling it
-	// (ablation; the benchmark's baseline leg) leaves expressions exactly as
-	// the builder produced them.
+	// aggregate pushdown through linear LA functions, and
+	// common-subexpression elimination. Disabling it (ablation; the
+	// benchmark's baseline leg) leaves expressions exactly as the builder
+	// produced them; fused-aggregation marking runs either way.
 	Rewrites bool
 	// Stats, when non-nil, counts the rewrite rules that fire; the benchmark
 	// harness uses it to hard-fail sweeps where no rewrite applied.
@@ -77,9 +77,10 @@ func New(opts Options) *Optimizer {
 	return &Optimizer{opts: opts, stats: st}
 }
 
-// Optimize rewrites the plan: the algebraic rewrite pass normalizes the
-// expression trees, then MultiJoin nodes become ordered Join/Cross trees
-// with pushed-down filters and (optionally) eager projections.
+// Optimize rewrites the plan: the algebraic rewrite pass (when enabled)
+// normalizes the expression trees, then MultiJoin nodes become ordered
+// Join/Cross trees with pushed-down filters and (optionally) eager
+// projections, and every aggregate call gets its fusion decision.
 func (o *Optimizer) Optimize(n plan.Node) (plan.Node, error) {
 	if o.opts.Rewrites {
 		rw, err := o.rewrite(n)
@@ -134,13 +135,14 @@ func (o *Optimizer) optimizeNode(n plan.Node) (plan.Node, error) {
 				}
 				ng.Aggs = append(ng.Aggs, na)
 			}
+			ng.Aggs = o.markFuses(ng.Aggs)
 			return ng, nil
 		}
 		in, err := o.optimizeNode(x.Input)
 		if err != nil {
 			return nil, err
 		}
-		return &plan.Agg{Input: in, GroupBy: x.GroupBy, Aggs: x.Aggs, Out: x.Out}, nil
+		return &plan.Agg{Input: in, GroupBy: x.GroupBy, Aggs: o.markFuses(x.Aggs), Out: x.Out}, nil
 	case *plan.Filter:
 		in, err := o.optimizeNode(x.Input)
 		if err != nil {
@@ -200,6 +202,43 @@ func (o *Optimizer) optimizeNode(n plan.Node) (plan.Node, error) {
 	default:
 		return n, nil
 	}
+}
+
+// markFuses returns aggs with each call's fusion decision set. It runs on
+// every Agg the optimizer emits, whether or not rewrites are enabled: the
+// executor only honours these marks.
+func (o *Optimizer) markFuses(aggs []plan.AggCall) []plan.AggCall {
+	out := make([]plan.AggCall, len(aggs))
+	for i, a := range aggs {
+		a.Fuse = o.markFuse(a)
+		out[i] = a
+	}
+	return out
+}
+
+// markFuse is the optimizer's fused-accumulation decision: a SUM over a
+// two-argument outer_product or matrix_multiply call accumulates into one
+// buffer instead of materializing a result object per row. The output
+// matrix's size makes fusion win whenever the pattern applies, so the cost
+// model here is a structural test; everything else is explicitly unfused so
+// the executor need not re-derive the decision.
+func (o *Optimizer) markFuse(a plan.AggCall) plan.FuseKind {
+	if a.Spec == nil || a.Spec.Name != "sum" || a.Input == nil {
+		return plan.FuseNone
+	}
+	call, ok := a.Input.(*plan.Call)
+	if !ok || len(call.Args) != 2 {
+		return plan.FuseNone
+	}
+	switch call.Fn.Name {
+	case "outer_product":
+		o.stats.FuseMarked.Add(1)
+		return plan.FuseOuterSum
+	case "matrix_multiply":
+		o.stats.FuseMarked.Add(1)
+		return plan.FuseMatMulSum
+	}
+	return plan.FuseNone
 }
 
 // colWidth is the costed byte width of a type.

@@ -227,14 +227,18 @@ func TestRewriteFuseMarking(t *testing.T) {
 		t.Fatal("FuseMarked counter did not fire")
 	}
 
-	// With rewrites disabled everything stays FuseAuto (legacy executor
-	// pattern-matching).
-	off := DefaultOptions()
+	// Marking is mandatory: with rewrites disabled the decision is still
+	// made (the executor no longer pattern-matches), and it is not counted
+	// as a rewrite.
+	off, offSt := statsOptions()
 	off.Rewrites = false
-	n = optimize(t, cat, `SELECT SUM(outer_product(x, y)) AS g FROM vv`, off)
+	n = optimize(t, cat, `SELECT SUM(outer_product(x, y)) AS g, SUM(x) AS sx FROM vv`, off)
 	ag = findAgg(n)
-	if ag == nil || ag.Aggs[0].Fuse != plan.FuseAuto {
-		t.Fatalf("rewrites-off plan should keep FuseAuto")
+	if ag == nil || ag.Aggs[0].Fuse != plan.FuseOuterSum || ag.Aggs[1].Fuse != plan.FuseNone {
+		t.Fatalf("rewrites-off plan not marked; plan:\n%s", plan.Explain(n))
+	}
+	if offSt.FuseMarked.Load() != 1 || offSt.Total() != 0 {
+		t.Fatalf("rewrites-off stats: %s (total %d), want fuse=1 and no rewrite", offSt.String(), offSt.Total())
 	}
 }
 

@@ -127,16 +127,13 @@ func (c *Cross) Schema() Schema { return c.Out }
 func (c *Cross) Children() []Node { return []Node{c.L, c.R} }
 
 // FuseKind is the optimizer's decision about fused accumulation for one
-// aggregate call. The zero value (FuseAuto) leaves the choice to the
-// executor's pattern matching, which keeps hand-built plans and plans from a
-// rewrites-disabled optimizer behaving exactly as before the decision moved
-// into the optimizer.
+// aggregate call. The optimizer decides it for every aggregate it emits; the
+// zero value means no fusion, so a hand-built plan that wants fusion sets it.
 type FuseKind uint8
 
 // Fuse decisions.
 const (
-	FuseAuto      FuseKind = iota // executor pattern-matches (legacy behaviour)
-	FuseNone                      // optimizer determined no fusion applies
+	FuseNone      FuseKind = iota // no fusion applies
 	FuseOuterSum                  // accumulate SUM(outer_product(x, y)) in place
 	FuseMatMulSum                 // accumulate SUM(matrix_multiply(a, b)) in place
 )

@@ -41,6 +41,9 @@ func EvalVec(ec *EvalCtx, e Expr, src BatchSource, sel []int32) (*value.Col, err
 		out.Fill(x.V, n)
 		return out, nil
 	case *Binary:
+		if out, ok, err := evalVecConstOperand(ec, x, src, n, sel); ok {
+			return out, err
+		}
 		lc, err := EvalVec(ec, x.L, src, sel)
 		if err != nil {
 			return nil, err
@@ -116,6 +119,60 @@ func EvalVec(ec *EvalCtx, e Expr, src BatchSource, sel []int32) (*value.Col, err
 	return out, nil
 }
 
+// flippedCmp maps a comparison op to the one that gives the same result
+// with its operands swapped; the NaN rules of <= and >= swap with them.
+var flippedCmp = map[string]string{"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+// evalVecConstOperand evaluates a numeric comparison or arithmetic whose
+// operand is a numeric constant without broadcasting the constant into a
+// column: comparisons with the constant on either side, arithmetic with it on
+// the right. ok is false when the expression does not have that shape, and
+// then nothing has been evaluated; the constant-free operand is evaluated
+// exactly once either way, so its errors surface as on the general path.
+func evalVecConstOperand(ec *EvalCtx, b *Binary, src BatchSource, n int, sel []int32) (*value.Col, bool, error) {
+	op, operand := b.Op, b.L
+	k, isConst := b.R.(*Const)
+	if !isConst && b.Kind == BinCompare {
+		k, isConst = b.L.(*Const)
+		op, operand = flippedCmp[b.Op], b.R
+	}
+	if !isConst || !k.V.IsNumeric() || (b.Kind != BinCompare && b.Kind != BinArith) {
+		return nil, false, nil
+	}
+	c, err := EvalVec(ec, operand, src, sel)
+	if err != nil {
+		return nil, true, err
+	}
+	if !c.IsNumeric() {
+		// Broadcast after all: the general path handles generic lanes.
+		kc := &value.Col{}
+		kc.Fill(k.V, n)
+		if operand == b.L {
+			out, err := evalVecBinary(ec, b, c, kc, n, sel)
+			return out, true, err
+		}
+		out, err := evalVecBinary(ec, b, kc, c, n, sel)
+		return out, true, err
+	}
+	kf, _ := k.V.AsDouble()
+	if b.Kind == BinCompare {
+		out := &value.Col{Kind: value.KindBool, B: make([]bool, n)}
+		if c.Kind == value.KindInt {
+			err = builtins.VecCmpConst(op, out.B, c.I, kf, sel)
+		} else {
+			err = builtins.VecCmpConst(op, out.B, c.F, kf, sel)
+		}
+		return out, true, err
+	}
+	if c.Kind == value.KindInt && k.V.Kind == value.KindInt {
+		out := &value.Col{Kind: value.KindInt, I: make([]int64, n)}
+		return out, true, builtins.VecArithConst(op, out.I, c.I, k.V.I, sel)
+	}
+	lf, _ := c.AsFloats(nil, sel)
+	out := &value.Col{Kind: value.KindDouble, F: make([]float64, n)}
+	return out, true, builtins.VecArithConst(op, out.F, lf, kf, sel)
+}
+
 func forLanes(n int, sel []int32, f func(i int) error) error {
 	if sel == nil {
 		for i := 0; i < n; i++ {
@@ -173,6 +230,12 @@ func evalVecBinary(ec *EvalCtx, b *Binary, lc, rc *value.Col, n int, sel []int32
 		return out, nil
 	case BinCompare:
 		out := &value.Col{Kind: value.KindBool, B: make([]bool, n)}
+		if lc.Kind == value.KindInt && rc.Kind == value.KindInt && !lc.Generic && !rc.Generic {
+			if err := builtins.VecCmpInt(b.Op, out.B, lc.I, rc.I, sel); err != nil {
+				return nil, err
+			}
+			return out, nil
+		}
 		if lc.IsNumeric() && rc.IsNumeric() {
 			lf, _ := lc.AsFloats(nil, sel)
 			rf, _ := rc.AsFloats(nil, sel)

@@ -11,7 +11,7 @@ import (
 // — and falls back to a generic []Value otherwise (mixed kinds or NULLs), so
 // vectorized fast paths never have to reason about per-lane kind dispatch:
 // they either run over a homogeneous array or the evaluator degrades to
-// element-at-a-time evaluation with exactly the row executor's semantics.
+// element-at-a-time evaluation with exactly the scalar evaluator's semantics.
 
 // Col is one column of a batch: either a homogeneous typed array (Generic
 // false; Kind names the storage) or a generic value array (Generic true).
@@ -70,6 +70,40 @@ func (c *Col) Reset() {
 	c.Any = c.Any[:0]
 }
 
+// reserve makes room for n lanes of kind (KindNull: generic storage) in an
+// empty column, so filling a fresh column costs one allocation per backing
+// array instead of a growth series.
+func (c *Col) reserve(kind Kind, n int) {
+	switch kind {
+	case KindBool:
+		c.B = growCap(c.B, n)
+	case KindInt:
+		c.I = growCap(c.I, n)
+	case KindDouble:
+		c.F = growCap(c.F, n)
+	case KindLabeledScalar:
+		c.F = growCap(c.F, n)
+		c.Label = growCap(c.Label, n)
+	case KindString:
+		c.S = growCap(c.S, n)
+	case KindVector:
+		c.Vec = growCap(c.Vec, n)
+		c.Label = growCap(c.Label, n)
+	case KindMatrix:
+		c.Mat = growCap(c.Mat, n)
+	case KindNull:
+		c.Any = growCap(c.Any, n)
+	}
+}
+
+// growCap returns an empty s with capacity of at least n.
+func growCap[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
 // Gather fills the column from rows[lo:hi] at column index idx. It starts
 // optimistically typed from the first value's kind and degrades to generic
 // storage when a lane disagrees (including NULLs).
@@ -84,6 +118,7 @@ func (c *Col) Gather(rows []Row, lo, hi, idx int) {
 		return
 	}
 	c.Kind = kind
+	c.reserve(kind, hi-lo)
 	for i := lo; i < hi; i++ {
 		v := rows[i][idx]
 		if v.Kind != kind {
@@ -164,8 +199,11 @@ func (c *Col) appendValue(v Value) {
 // loads of neighbouring columns hit adjacent cache lines instead of re-walking
 // the row set per column.
 func GatherMulti(rows []Row, lo, hi int, idxs []int, cols []*Col) {
-	for _, c := range cols {
+	for j, c := range cols {
 		c.Reset()
+		if hi > lo {
+			c.reserve(rows[lo][idxs[j]].Kind, hi-lo)
+		}
 	}
 	for i := lo; i < hi; i++ {
 		r := rows[i]
@@ -203,6 +241,7 @@ func (c *Col) gatherGeneric(rows []Row, lo, hi, idx int) {
 // Fill makes the column n lanes of the constant v.
 func (c *Col) Fill(v Value, n int) {
 	c.Reset()
+	c.reserve(v.Kind, n)
 	if v.Kind == KindNull {
 		c.Generic = true
 		for i := 0; i < n; i++ {
@@ -301,8 +340,9 @@ func (c *Col) AsFloats(scratch []float64, sel []int32) ([]float64, bool) {
 }
 
 // SizeBytesAt replicates Value.SizeBytes for lane i without materializing the
-// value (the spill governor's per-row footprint must match the row executor's
-// exactly so budget denials trip at the same row).
+// value (the spill governor's per-row footprint must equal the row's
+// SizeBytes exactly, so budget denials trip at the same row at every window
+// size).
 func (c *Col) SizeBytesAt(i int) int {
 	if c.Generic {
 		return c.Any[i].SizeBytes()
@@ -436,8 +476,8 @@ func (c *Col) Specialize(n int, sel []int32) {
 // HashesInto writes the per-value hash (identical to Value.Hash) of each
 // selected lane into dst, which must have at least Len lanes. Key hashing,
 // grace-join scatter, and aggregation grouping all build on these hashes, so
-// they must match the row executor's bit-for-bit — the batch executor's
-// output ordering depends on it.
+// they must match Value.Hash bit-for-bit — the executor's output ordering
+// depends on it (row-form shuffles hash with Value.Hash).
 func (c *Col) HashesInto(dst []uint64, sel []int32) {
 	if c.Generic {
 		if sel == nil {
@@ -509,8 +549,8 @@ func fnvMix(h, x uint64) uint64 {
 }
 
 // CombineKeyHashes folds one key column's per-value hashes into the running
-// key-tuple hashes, exactly as the row executor's hashVals folds Value.Hash
-// results: h ^= vh; h *= prime. Initialize dst lanes with KeyHashInit first.
+// key-tuple hashes, exactly as the executor's row-form hashVals folds
+// Value.Hash results: h ^= vh; h *= prime. Initialize dst lanes with KeyHashInit first.
 func CombineKeyHashes(dst, colHashes []uint64, sel []int32) {
 	if sel == nil {
 		for i := range dst {

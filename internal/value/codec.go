@@ -22,6 +22,19 @@ import (
 //	vector := i64 label, u32 len, f64*
 //	matrix := u32 rows, u32 cols, f64*
 //	lscal  := f64, i64 label
+//
+// Decoding never trusts a count: every length is checked against the bytes
+// that remain, divided by the count's minimum encoded size per element,
+// before anything is allocated from it, so hostile input (the serve client
+// decodes wire payloads with this codec) fails cleanly instead of sizing an
+// allocation from four attacker-chosen bytes.
+
+// Minimum encoded sizes, used to bound counts by the remaining bytes.
+const (
+	minRowBytes   = 4 // an empty row: its u32 count
+	minValueBytes = 1 // a NULL: its kind byte
+	maxMatrixDim  = math.MaxInt32
+)
 
 // AppendRow appends the encoding of r to dst and returns the extended slice.
 func AppendRow(dst []byte, r Row) []byte {
@@ -77,6 +90,9 @@ func DecodeRow(buf []byte) (Row, []byte, error) {
 	}
 	n := binary.LittleEndian.Uint32(buf)
 	buf = buf[4:]
+	if uint64(n) > uint64(len(buf)/minValueBytes) {
+		return nil, nil, fmt.Errorf("value: row claims %d values in %d bytes", n, len(buf))
+	}
 	row := make(Row, n)
 	var err error
 	for i := range row {
@@ -118,22 +134,24 @@ func DecodeValue(buf []byte) (Value, []byte, error) {
 		if len(buf) < 4 {
 			return Value{}, nil, fmt.Errorf("value: short string header")
 		}
-		n := int(binary.LittleEndian.Uint32(buf))
+		n32 := binary.LittleEndian.Uint32(buf)
 		buf = buf[4:]
-		if len(buf) < n {
+		if uint64(n32) > uint64(len(buf)) {
 			return Value{}, nil, fmt.Errorf("value: short string body")
 		}
+		n := int(n32)
 		return String_(string(buf[:n])), buf[n:], nil
 	case KindVector:
 		if len(buf) < 12 {
 			return Value{}, nil, fmt.Errorf("value: short vector header")
 		}
 		label := int64(binary.LittleEndian.Uint64(buf))
-		n := int(binary.LittleEndian.Uint32(buf[8:]))
+		n32 := binary.LittleEndian.Uint32(buf[8:])
 		buf = buf[12:]
-		if len(buf) < 8*n {
+		if uint64(n32) > uint64(len(buf)/8) {
 			return Value{}, nil, fmt.Errorf("value: short vector body")
 		}
+		n := int(n32)
 		data := make([]float64, n)
 		for i := range data {
 			data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
@@ -145,12 +163,17 @@ func DecodeValue(buf []byte) (Value, []byte, error) {
 		if len(buf) < 8 {
 			return Value{}, nil, fmt.Errorf("value: short matrix header")
 		}
-		rows := int(binary.LittleEndian.Uint32(buf))
-		cols := int(binary.LittleEndian.Uint32(buf[4:]))
+		r32 := binary.LittleEndian.Uint32(buf)
+		c32 := binary.LittleEndian.Uint32(buf[4:])
 		buf = buf[8:]
-		if len(buf) < 8*rows*cols {
+		if r32 > maxMatrixDim || c32 > maxMatrixDim {
+			return Value{}, nil, fmt.Errorf("value: matrix dimensions %dx%d out of range", r32, c32)
+		}
+		// Two u32 dimensions multiply without overflow in 64 bits.
+		if uint64(r32)*uint64(c32) > uint64(len(buf)/8) {
 			return Value{}, nil, fmt.Errorf("value: short matrix body")
 		}
+		rows, cols := int(r32), int(c32)
 		data := make([]float64, rows*cols)
 		for i := range data {
 			data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
@@ -187,8 +210,11 @@ func DecodeRows(buf []byte) ([]Row, error) {
 	if len(buf) < 4 {
 		return nil, fmt.Errorf("value: short batch header")
 	}
-	n := int(binary.LittleEndian.Uint32(buf))
+	n := binary.LittleEndian.Uint32(buf)
 	buf = buf[4:]
+	if uint64(n) > uint64(len(buf)/minRowBytes) {
+		return nil, fmt.Errorf("value: batch claims %d rows in %d bytes", n, len(buf))
+	}
 	rows := make([]Row, n)
 	var err error
 	for i := range rows {

@@ -1,8 +1,11 @@
 package value
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -306,4 +309,73 @@ func TestPropHashAgreesWithEqual(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestCodecHostileCounts: counts are bounded by the bytes that remain, so a
+// short input claiming billions of rows, values or matrix cells fails with
+// an error instead of sizing an allocation from the claim.
+func TestCodecHostileCounts(t *testing.T) {
+	u32 := func(x uint32) []byte { return binary.LittleEndian.AppendUint32(nil, x) }
+	cat := func(parts ...[]byte) []byte {
+		var b []byte
+		for _, p := range parts {
+			b = append(b, p...)
+		}
+		return b
+	}
+	matrix := func(rows, cols uint32) []byte {
+		return cat([]byte{byte(KindMatrix)}, u32(rows), u32(cols), make([]byte, 16))
+	}
+	cases := map[string][]byte{
+		// 13 bytes: one row that claims 2^32-1 values.
+		"13-byte row count": cat(u32(1), u32(math.MaxUint32), []byte{0, 0, 0, 0, 0}),
+		"batch count":       cat(u32(math.MaxUint32), make([]byte, 9)),
+		"vector length":     cat(u32(1), u32(1), []byte{byte(KindVector)}, make([]byte, 8), u32(math.MaxUint32)),
+		"string length":     cat(u32(1), u32(1), []byte{byte(KindString)}, u32(math.MaxUint32), []byte("ab")),
+		// 8*rows*cols wraps negative in 64-bit int arithmetic, so a plain
+		// "len(buf) < 8*rows*cols" check would pass.
+		"matrix product overflow": cat(u32(1), u32(1), matrix(math.MaxInt32, math.MaxInt32)),
+		"matrix huge product":     cat(u32(1), u32(1), matrix(math.MaxUint32, math.MaxUint32)),
+		"matrix oversized dim":    cat(u32(1), u32(1), matrix(math.MaxUint32, 0)),
+	}
+	if n := len(cases["13-byte row count"]); n != 13 {
+		t.Fatalf("regression input is %d bytes, want 13", n)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for name, buf := range cases {
+		if _, err := DecodeRows(buf); err == nil {
+			t.Errorf("%s: hostile input decoded successfully", name)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("decoding hostile inputs allocated %d bytes", grew)
+	}
+}
+
+// FuzzDecodeRows: arbitrary bytes either fail to decode or decode to rows
+// whose encoding is a fixed point of decode∘encode.
+func FuzzDecodeRows(f *testing.F) {
+	f.Add(EncodeRows(nil))
+	f.Add(EncodeRows([]Row{{Int(1), Double(2.5), String_("x"), Bool(true), Null()}}))
+	f.Add(EncodeRows([]Row{
+		{LabeledVector(linalg.VectorOf(1, math.NaN(), math.Inf(-1)), 7), LabeledScalar(math.Copysign(0, -1), 3)},
+		{Matrix(linalg.Identity(2))},
+		{},
+	}))
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		rows, err := DecodeRows(buf)
+		if err != nil {
+			return
+		}
+		enc := EncodeRows(rows)
+		again, err := DecodeRows(enc)
+		if err != nil {
+			t.Fatalf("re-decoding an encoding failed: %v", err)
+		}
+		if !bytes.Equal(EncodeRows(again), enc) {
+			t.Fatal("encode(decode(encode(rows))) differs from encode(rows)")
+		}
+	})
 }

@@ -3,9 +3,10 @@
 # project-specific lalint analysis suite, the test suite, the race detector
 # over the concurrent packages (the simulated cluster, the executor, the
 # BLAS-like kernels, the server, and the benchmark harness that drives them),
-# the batch-executor equivalence tests under the race detector, the benchmark
-# smokes (including the row-vs-batch identity sweep, the buffer-pool storage
-# sweep, and the optimizer rewrite/adaptive-replan identity sweep), the
+# the executor's golden-equivalence tests under the race detector, the
+# benchmark smokes (including the buffer-pool storage sweep and the optimizer
+# rewrite/adaptive-replan identity sweep), the end-to-end benchmark's own
+# tests (which pin its per-statement tuple, shuffle and spill counters), the
 # end-to-end server smoke, and the SIGKILL restart-recovery smoke over a
 # persistent data directory.
 #
@@ -58,13 +59,13 @@ if [[ $BUILD_OK == 1 ]]; then
   gate "kernel smoke" go run ./cmd/labench -kernels -smoke -out ""
   gate "spill smoke" go run ./cmd/labench -spill -smoke
   gate "faults smoke" go run ./cmd/labench -faults -smoke
-  gate "batch smoke" go run ./cmd/labench -batch -smoke -out ""
   gate "storage smoke" go run ./cmd/labench -storage -smoke -out ""
   gate "opt smoke" go run ./cmd/labench -opt -smoke -out ""
+  gate "perfbench tests" bash -c 'cd perfbench && go test ./...'
   gate "serve smoke" bash scripts/serve_smoke.sh
   gate "restart smoke" bash scripts/storage_smoke.sh
 else
-  for g in "go vet" "lalint" "go test" "go test -race" "batch race" "storage race" "kernel smoke" "spill smoke" "faults smoke" "batch smoke" "storage smoke" "opt smoke" "serve smoke" "restart smoke"; do
+  for g in "go vet" "lalint" "go test" "go test -race" "batch race" "storage race" "kernel smoke" "spill smoke" "faults smoke" "storage smoke" "opt smoke" "perfbench tests" "serve smoke" "restart smoke"; do
     skip "$g" "build failed"
   done
 fi
@@ -72,7 +73,7 @@ fi
 echo
 echo "== verify summary =="
 for i in "${!GATE_NAMES[@]}"; do
-  printf '  %-14s %s\n' "${GATE_NAMES[$i]}" "${GATE_RESULTS[$i]}"
+  printf '  %-15s %s\n' "${GATE_NAMES[$i]}" "${GATE_RESULTS[$i]}"
 done
 if [[ $FAILED == 1 ]]; then
   echo "verify: FAILED"
