@@ -3,6 +3,7 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -18,14 +19,17 @@ import (
 )
 
 // This file benchmarks the kernel layer itself — the tiled matmul, the
-// parallel transpose/elementwise dispatch, and the fused scan→filter→project
-// pipeline — against their seed serial baselines, and emits the results as
-// machine-readable JSON (BENCH_kernels.json) so the repo carries a perf
-// trajectory from commit to commit.
+// parallel transpose/elementwise dispatch, the symmetric rank-k Gram update,
+// and the fused scan→filter→project pipeline — against their seed serial
+// baselines, and emits the results as machine-readable JSON
+// (BENCH_kernels.json) so the repo carries a perf trajectory from commit to
+// commit.
 
 // KernelConfig sizes one kernel benchmark run.
 type KernelConfig struct {
 	MatN     int   // square matrix side for matmul/transpose/elementwise
+	GramRows int   // vectors in the Gram leg's window
+	GramDim  int   // their dimension
 	PipeRows int   // rows pushed through the executor pipeline
 	Reps     int   // timing repetitions; the minimum is reported
 	Workers  []int // worker counts to sweep
@@ -33,15 +37,16 @@ type KernelConfig struct {
 }
 
 // DefaultKernelConfig is the committed-snapshot configuration: the paper-ish
-// 512×512 product and a pipeline long enough to amortize setup.
+// 512×512 product, one partition's share of the la_dense vector Gram (1000
+// vectors at d=200), and a pipeline long enough to amortize setup.
 func DefaultKernelConfig() KernelConfig {
-	return KernelConfig{MatN: 512, PipeRows: 200000, Reps: 9, Workers: []int{1, 2, 4, 8}, Seed: 1}
+	return KernelConfig{MatN: 512, GramRows: 1000, GramDim: 200, PipeRows: 200000, Reps: 9, Workers: []int{1, 2, 4, 8}, Seed: 1}
 }
 
 // SmokeKernelConfig shrinks everything so verify.sh can run the suite as a
 // seconds-long smoke test.
 func SmokeKernelConfig() KernelConfig {
-	return KernelConfig{MatN: 96, PipeRows: 20000, Reps: 2, Workers: []int{1, 4}, Seed: 1}
+	return KernelConfig{MatN: 96, GramRows: 101, GramDim: 200, PipeRows: 20000, Reps: 2, Workers: []int{1, 4}, Seed: 1}
 }
 
 // KernelResult is one (kernel, workers) measurement. Reference rows carry
@@ -61,7 +66,10 @@ type KernelResult struct {
 type KernelReport struct {
 	GeneratedAt string         `json:"generated_at"`
 	GOMAXPROCS  int            `json:"gomaxprocs"`
+	NumCPU      int            `json:"num_cpu"`
 	MatN        int            `json:"mat_n"`
+	GramRows    int            `json:"gram_rows"`
+	GramDim     int            `json:"gram_dim"`
 	PipeRows    int            `json:"pipeline_rows"`
 	Reps        int            `json:"reps"`
 	Results     []KernelResult `json:"results"`
@@ -75,8 +83,8 @@ func (r *KernelReport) JSON() ([]byte, error) {
 // Format renders the report as a human-readable table.
 func (r *KernelReport) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Kernel suite (mat %dx%d, pipeline %d rows, min of %d reps, GOMAXPROCS=%d)\n",
-		r.MatN, r.MatN, r.PipeRows, r.Reps, r.GOMAXPROCS)
+	fmt.Fprintf(&b, "Kernel suite (mat %dx%d, gram %d×%d, pipeline %d rows, min of %d reps, GOMAXPROCS=%d, %d CPUs)\n",
+		r.MatN, r.MatN, r.GramRows, r.GramDim, r.PipeRows, r.Reps, r.GOMAXPROCS, r.NumCPU)
 	fmt.Fprintf(&b, "%-22s %8s %12s %10s %14s %9s\n", "kernel", "workers", "seconds", "GFLOP/s", "rows/s", "speedup")
 	for _, res := range r.Results {
 		gf, rps, sp := "", "", ""
@@ -140,7 +148,10 @@ func RunKernels(cfg KernelConfig) (*KernelReport, error) {
 	rep := &KernelReport{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339), //lint:ignore nodeterminism the snapshot timestamp is report metadata, not simulation state
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		NumCPU:      runtime.NumCPU(),
 		MatN:        cfg.MatN,
+		GramRows:    cfg.GramRows,
+		GramDim:     cfg.GramDim,
 		PipeRows:    cfg.PipeRows,
 		Reps:        cfg.Reps,
 	}
@@ -202,6 +213,14 @@ func RunKernels(cfg KernelConfig) (*KernelReport, error) {
 		rep.add(KernelResult{Kernel: "elementwise_add", Workers: w, Seconds: sec, GFLOPS: elemOps / sec / 1e9, Speedup: refSec / sec})
 	}
 
+	// Gram: a window of vectors accumulated one rank-1 OuterAddInto per row
+	// (the seed kernel) vs one symmetric RankKAddInto. Rates count the full
+	// 2·n·d² flops for both, so the speedup includes the skipped triangle.
+	// The two must agree bit for bit, or the run fails.
+	if err := rep.gram(cfg, rng); err != nil {
+		return nil, err
+	}
+
 	// Executor pipeline: scan→filter→project, stage-at-a-time vs fused, with
 	// the worker count as the cluster's partition fan-out.
 	for _, w := range cfg.Workers {
@@ -220,6 +239,45 @@ func RunKernels(cfg KernelConfig) (*KernelReport, error) {
 }
 
 func (r *KernelReport) add(res KernelResult) { r.Results = append(r.Results, res) }
+
+// gram runs the Gram leg and adds its gram_ref and gram rows.
+func (r *KernelReport) gram(cfg KernelConfig, rng *rand.Rand) error {
+	rows := randMatrix(rng, cfg.GramRows, cfg.GramDim)
+	vecs := make([]*linalg.Vector, rows.Rows)
+	data := make([][]float64, rows.Rows)
+	for i := range vecs {
+		data[i] = rows.Row(i)
+		vecs[i] = &linalg.Vector{Data: data[i]}
+	}
+	d := cfg.GramDim
+	ref, win := linalg.NewMatrix(d, d), linalg.NewMatrix(d, d)
+	refSec, sec, err := bestOfPair(cfg.Reps,
+		func() error {
+			clear(ref.Data)
+			for _, v := range vecs {
+				if err := v.OuterAddInto(ref, v); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		func() error {
+			clear(win.Data)
+			return linalg.RankKAddInto(win, data, data)
+		})
+	if err != nil {
+		return err
+	}
+	for i, x := range ref.Data {
+		if math.Float64bits(x) != math.Float64bits(win.Data[i]) {
+			return fmt.Errorf("bench: gram: window kernel differs from per-row accumulation at (%d,%d)", i/d, i%d)
+		}
+	}
+	flops := 2 * float64(cfg.GramRows) * float64(d) * float64(d)
+	r.add(KernelResult{Kernel: "gram_ref", Workers: 1, Seconds: refSec, GFLOPS: flops / refSec / 1e9})
+	r.add(KernelResult{Kernel: "gram", Workers: 1, Seconds: sec, GFLOPS: flops / sec / 1e9, Speedup: refSec / sec})
+	return nil
+}
 
 func randMatrix(rng *rand.Rand, rows, cols int) *linalg.Matrix {
 	m := linalg.NewMatrix(rows, cols)

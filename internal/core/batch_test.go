@@ -177,9 +177,18 @@ func batchDigests(t *testing.T, batch int, shapes []batchShape) map[string]strin
 func loadBatchGolden(t *testing.T) map[string]string {
 	t.Helper()
 	if *updateBatchGolden {
-		writeBatchGolden(t, batchDigests(t, 0, batchShapes))
+		writeDigestGolden(t, batchGoldenPath,
+			"# sha256(schema + EncodeRows) <nodes>x<parts> <memory budget> <query>\n",
+			batchDigests(t, 0, batchShapes))
 	}
-	f, err := os.Open(batchGoldenPath)
+	return readDigestGolden(t, batchGoldenPath)
+}
+
+// readDigestGolden reads a "<digest> <key>" golden file; blank lines and
+// lines starting with # are skipped.
+func readDigestGolden(t *testing.T, path string) map[string]string {
+	t.Helper()
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +202,7 @@ func loadBatchGolden(t *testing.T) map[string]string {
 		}
 		digest, key, ok := strings.Cut(line, " ")
 		if !ok {
-			t.Fatalf("%s: malformed line %q", batchGoldenPath, line)
+			t.Fatalf("%s: malformed line %q", path, line)
 		}
 		golden[key] = digest
 	}
@@ -203,7 +212,9 @@ func loadBatchGolden(t *testing.T) map[string]string {
 	return golden
 }
 
-func writeBatchGolden(t *testing.T, digests map[string]string) {
+// writeDigestGolden writes digests as a golden file, sorted by key, under
+// the given header line.
+func writeDigestGolden(t *testing.T, path, header string, digests map[string]string) {
 	t.Helper()
 	keys := make([]string, 0, len(digests))
 	for k := range digests {
@@ -211,14 +222,14 @@ func writeBatchGolden(t *testing.T, digests map[string]string) {
 	}
 	sort.Strings(keys)
 	var b strings.Builder
-	b.WriteString("# sha256(schema + EncodeRows) <nodes>x<parts> <memory budget> <query>\n")
+	b.WriteString(header)
 	for _, k := range keys {
 		fmt.Fprintf(&b, "%s %s\n", digests[k], k)
 	}
 	if err := os.MkdirAll("testdata", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(batchGoldenPath, []byte(b.String()), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -407,6 +407,35 @@ func TestExplainStatement(t *testing.T) {
 	}
 }
 
+// TestExplainShowsFusion: EXPLAIN prints each aggregate's fusion mark — the
+// kind, and whether the sum is a Gram matrix computed as one triangle — and
+// nothing extra on unmarked calls.
+func TestExplainShowsFusion(t *testing.T) {
+	db := testDB(t)
+	db.MustExec("CREATE TABLE v (x VECTOR[3], y VECTOR[3], m MATRIX[2][3])")
+	res, err := db.Run(`EXPLAIN SELECT SUM(outer_product(x, x)), SUM(outer_product(x, y)),
+		SUM(matrix_multiply(trans_matrix(m), m)), SUM(matrix_multiply(m, trans_matrix(m))),
+		COUNT(*), SUM(x) FROM v`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined := ""
+	for _, r := range res.Rows {
+		joined += r[0].S + "\n"
+	}
+	for _, want := range []string{
+		"sum(outer_product(#0:x, #0:x)) [fused outer-sum, symmetric]",
+		"sum(outer_product(#0:x, #1:y)) [fused outer-sum],",
+		"sum(matrix_multiply(trans_matrix(#2:m), #2:m)) [fused trans-matmul-sum, symmetric]",
+		"sum(matrix_multiply(#2:m, trans_matrix(#2:m))) [fused matmul-sum],",
+		"count(*), sum(#0:x)]",
+	} {
+		if !strings.Contains(joined, want) {
+			t.Fatalf("explain missing %q:\n%s", want, joined)
+		}
+	}
+}
+
 func TestDropAndErrors(t *testing.T) {
 	db := testDB(t)
 	db.MustExec("CREATE TABLE t (a INTEGER)")

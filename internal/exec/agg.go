@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"relalg/internal/builtins"
@@ -14,6 +15,9 @@ import (
 type aggGroup struct {
 	keys   []value.Value
 	states []builtins.AggState
+	// slot is 1 + the group's index in the current window's laneRouter, 0
+	// while the window has routed it no fused lanes.
+	slot int32
 }
 
 // runAgg executes a two-phase distributed aggregation: partition-local
@@ -147,7 +151,7 @@ func runAgg(ctx *Context, a *plan.Agg) (*Relation, error) {
 	// (SQL: SELECT SUM(x) FROM empty returns a single NULL row).
 	if len(a.GroupBy) == 0 && relEmpty(out) {
 		row := make(value.Row, 0, len(a.Aggs))
-		for _, st := range newStates(a.Aggs, !ctx.DisableAggFusion) {
+		for _, st := range newStates(a.Aggs, fusedSpecs(a.Aggs, !ctx.DisableAggFusion)) {
 			v, err := st.Final()
 			if err != nil {
 				return nil, err
@@ -212,14 +216,14 @@ func groupingAligned(hashKeys []string, groupBy []plan.Expr) bool {
 	return true
 }
 
-func newStates(aggs []plan.AggCall, fuse bool) []builtins.AggState {
+// newStates returns fresh states for the calls; specs (nil when fusion is
+// off) selects the fused ones.
+func newStates(aggs []plan.AggCall, specs []fusedSpec) []builtins.AggState {
 	out := make([]builtins.AggState, len(aggs))
 	for i, a := range aggs {
-		if fuse {
-			if kind := fusedOf(a); kind != fusedNone {
-				out[i] = &fusedSumState{kind: kind, args: a.Input.(*plan.Call).Args}
-				continue
-			}
+		if specs != nil && specs[i].kind != plan.FuseNone {
+			out[i] = &fusedSumState{kind: specs[i].kind, sym: specs[i].sym}
+			continue
 		}
 		out[i] = a.Spec.New()
 	}
@@ -243,10 +247,15 @@ type partAgg struct {
 	a       *plan.Agg
 	part    int
 	attempt int // owning task attempt; keys spill write-fault draws
+
+	specs   []fusedSpec // per call; nil when fusion is off
+	route   laneRouter
+	scratch rankKScratch
 }
 
 // aggregate builds the partition's group map from rows.
 func (pa *partAgg) aggregate(rows []value.Row) (map[uint64][]*aggGroup, error) {
+	pa.specs = fusedSpecs(pa.a.Aggs, !pa.ctx.DisableAggFusion)
 	next := sliceWindows(rows, pa.ctx.window())
 	if !pa.ctx.spillEnabled() {
 		return pa.build(next, nil, 0)
@@ -312,13 +321,14 @@ func stepCol(st builtins.AggState, c *value.Col, i int) error {
 	return st.Step(c.Value(i))
 }
 
-// build aggregates the input windows into a group map. Group keys and hashes
-// (and non-fused aggregate arguments) are evaluated columnar per window, then
-// each row is routed in input order; key tuples materialize only when a new
-// group enters the table. Once res denies the table more entries, rows of
-// new groups spill; at maxGraceDepth the bytes are forced instead (a single
-// group's rows always re-scatter to the same file, so depth alone cannot
-// split skew).
+// build aggregates the input windows into a group map. Group keys and hashes,
+// aggregate arguments and fused operands are evaluated columnar per window,
+// then each row is routed in input order; key tuples materialize only when a
+// new group enters the table. Fused states step after the routing loop, one
+// call per touched group over its lanes of the window. Once res denies the
+// table more entries, rows of new groups spill; at maxGraceDepth the bytes
+// are forced instead (a single group's rows always re-scatter to the same
+// file, so depth alone cannot split skew).
 func (pa *partAgg) build(next windowIter, res *spill.Reservation, depth int) (map[uint64][]*aggGroup, error) {
 	groups := map[uint64][]*aggGroup{}
 	force := depth >= maxGraceDepth
@@ -338,19 +348,24 @@ func (pa *partAgg) build(next windowIter, res *spill.Reservation, depth int) (ma
 		return writers[int(mix64(h^salt)%uint64(len(writers)))].Append(r)
 	}
 
-	fuse := !pa.ctx.DisableAggFusion
-	// Aggregate argument columns vectorize only for plain (non-fused,
-	// non-COUNT(*)) calls; fused states step from the original row.
+	// Plain calls vectorize their argument; fused calls their two operands;
+	// COUNT(*) needs neither.
 	vecArg := make([]bool, len(pa.a.Aggs))
-	var vecInputs []plan.Expr
+	var vecInputs, fusedOps []plan.Expr
+	var fusedIdx []int
 	for i, a := range pa.a.Aggs {
-		vecArg[i] = a.Input != nil && !(fuse && fusedOf(a) != fusedNone)
-		if vecArg[i] {
+		switch {
+		case pa.specs != nil && pa.specs[i].kind != plan.FuseNone:
+			fusedIdx = append(fusedIdx, i)
+			fusedOps = append(fusedOps, pa.specs[i].ops[:]...)
+		case a.Input != nil:
+			vecArg[i] = true
 			vecInputs = append(vecInputs, a.Input)
 		}
 	}
 	argCols := make([]*value.Col, len(pa.a.Aggs))
-	refs := colRefs(pa.a.GroupBy, vecInputs)
+	opCols := make([][2]*value.Col, len(pa.a.Aggs))
+	refs := colRefs(pa.a.GroupBy, vecInputs, fusedOps)
 	var (
 		view batchView
 		ke   keyEval
@@ -378,6 +393,15 @@ func (pa *partAgg) build(next windowIter, res *spill.Reservation, depth int) (ma
 				abortAll()
 				return nil, err
 			}
+		}
+		for _, j := range fusedIdx {
+			if opCols[j], err = pa.evalOperands(&pa.specs[j], &view); err != nil {
+				abortAll()
+				return nil, err
+			}
+		}
+		if len(fusedIdx) > 0 {
+			pa.route.begin(len(window))
 		}
 		for i, r := range window {
 			h := ke.hashes[i]
@@ -418,8 +442,11 @@ func (pa *partAgg) build(next windowIter, res *spill.Reservation, depth int) (ma
 				if res != nil && force {
 					res.Force(fp)
 				}
-				g = &aggGroup{keys: ke.materializeAt(i), states: newStates(pa.a.Aggs, fuse)}
+				g = &aggGroup{keys: ke.materializeAt(i), states: newStates(pa.a.Aggs, pa.specs)}
 				groups[h] = append(groups[h], g)
+			}
+			if len(fusedIdx) > 0 {
+				pa.route.add(g, i)
 			}
 			for j, st := range g.states {
 				var err error
@@ -433,13 +460,17 @@ func (pa *partAgg) build(next windowIter, res *spill.Reservation, depth int) (ma
 					} else {
 						err = st.Step(value.Int(1))
 					}
-				default:
-					err = st.(*fusedSumState).stepFused(pa.ec, r)
 				}
 				if err != nil {
 					abortAll()
 					return nil, err
 				}
+			}
+		}
+		if len(fusedIdx) > 0 {
+			if err := pa.stepFused(fusedIdx, opCols); err != nil {
+				abortAll()
+				return nil, err
 			}
 		}
 	}
@@ -471,6 +502,108 @@ func (pa *partAgg) build(next windowIter, res *spill.Reservation, depth int) (ma
 		}
 	}
 	return groups, nil
+}
+
+// evalOperands evaluates a fused call's two operands over the window; a Gram
+// sum evaluates its one operand once and passes it as both.
+func (pa *partAgg) evalOperands(sp *fusedSpec, view *batchView) ([2]*value.Col, error) {
+	var cols [2]*value.Col
+	var err error
+	if cols[0], err = plan.EvalVec(pa.ec, sp.ops[0], view, nil); err != nil {
+		return cols, err
+	}
+	if sp.sym {
+		cols[1] = cols[0]
+		return cols, nil
+	}
+	cols[1], err = plan.EvalVec(pa.ec, sp.ops[1], view, nil)
+	return cols, err
+}
+
+// stepFused runs the window's fused accumulation: every group the routing
+// loop touched steps each fused state once, over its lanes in ascending
+// order.
+func (pa *partAgg) stepFused(fusedIdx []int, opCols [][2]*value.Col) error {
+	defer pa.route.reset()
+	pa.route.bucket()
+	for t, g := range pa.route.touched {
+		lanes := pa.route.lanesOf(t)
+		for _, j := range fusedIdx {
+			if err := g.states[j].(*fusedSumState).stepLanes(opCols[j][0], opCols[j][1], lanes, &pa.scratch); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// laneRouter collects, per window, which lanes each group's fused states
+// accumulate, so a group's whole share of the window goes to one kernel call
+// however its rows interleave with other groups'.
+type laneRouter struct {
+	touched []*aggGroup // groups with lanes this window, in first-touch order
+	lanes   []int32     // routed lanes in input order
+	slotOf  []int32     // per routed lane: its group's index in touched
+	order   []int32     // lanes bucketed by group, ascending within a bucket
+	start   []int32     // bucket t is order[start[t]:start[t+1]]
+	next    []int32     // bucketing cursor
+}
+
+// begin readies the router for a window of n rows.
+func (r *laneRouter) begin(n int) {
+	r.lanes = slices.Grow(r.lanes[:0], n)
+	r.slotOf = slices.Grow(r.slotOf[:0], n)
+}
+
+// add routes lane to group g.
+func (r *laneRouter) add(g *aggGroup, lane int) {
+	if g.slot == 0 {
+		r.touched = append(r.touched, g)
+		g.slot = int32(len(r.touched))
+	}
+	r.lanes = append(r.lanes, int32(lane))
+	r.slotOf = append(r.slotOf, g.slot-1)
+}
+
+// bucket groups the routed lanes by group with a stable counting sort. A
+// window that touched one group (every global aggregate) keeps its lanes
+// where they are.
+func (r *laneRouter) bucket() {
+	k := len(r.touched)
+	if k <= 1 {
+		return
+	}
+	r.start = append(r.start[:0], make([]int32, k+1)...)
+	for _, t := range r.slotOf {
+		r.start[t+1]++
+	}
+	for t := 0; t < k; t++ {
+		r.start[t+1] += r.start[t]
+	}
+	r.next = append(r.next[:0], r.start[:k]...)
+	r.order = slices.Grow(r.order[:0], len(r.lanes))[:len(r.lanes)]
+	for i, lane := range r.lanes {
+		t := r.slotOf[i]
+		r.order[r.next[t]] = lane
+		r.next[t]++
+	}
+}
+
+// lanesOf returns bucket t after bucket.
+func (r *laneRouter) lanesOf(t int) []int32 {
+	if len(r.touched) == 1 {
+		return r.lanes
+	}
+	return r.order[r.start[t]:r.start[t+1]]
+}
+
+// reset unmarks the window's groups.
+func (r *laneRouter) reset() {
+	for _, g := range r.touched {
+		g.slot = 0
+	}
+	clear(r.touched)
+	r.touched = r.touched[:0]
 }
 
 // buildFromRun recursively aggregates one overflow file and removes it.

@@ -1,10 +1,12 @@
 package exec
 
 import (
+	"math"
 	"testing"
 
 	"relalg/internal/builtins"
 	"relalg/internal/catalog"
+	"relalg/internal/cluster"
 	"relalg/internal/linalg"
 	"relalg/internal/plan"
 	"relalg/internal/types"
@@ -21,37 +23,86 @@ func outerSumCall(t *testing.T) plan.AggCall {
 		Args: []plan.Expr{col(0, vecT), col(0, vecT)},
 		T:    types.TMatrix(types.KnownDim(2), types.KnownDim(2)),
 	}
-	return plan.AggCall{Spec: spec, Input: input, T: input.T, Fuse: plan.FuseOuterSum}
+	return plan.AggCall{Spec: spec, Input: input, T: input.T, Fuse: plan.FuseOuterSum, FuseSym: true}
+}
+
+// fusedState returns a fresh fused state for the call.
+func fusedState(t *testing.T, call plan.AggCall) *fusedSumState {
+	t.Helper()
+	calls := []plan.AggCall{call}
+	st, ok := newStates(calls, fusedSpecs(calls, true))[0].(*fusedSumState)
+	if !ok {
+		t.Fatal("call did not get a fused state")
+	}
+	return st
+}
+
+// stepWindow feeds rows to a fused state as one window, the way the
+// aggregation's routing loop does: operands evaluated as columns, every lane
+// routed to the state.
+func stepWindow(st *fusedSumState, call plan.AggCall, rows []value.Row) error {
+	sp := fusedOf(call)
+	var cols [2]*value.Col
+	for k, op := range sp.ops {
+		c := &value.Col{}
+		for _, r := range rows {
+			v, err := op.Eval(nil, r)
+			if err != nil {
+				return err
+			}
+			c.Append(v)
+		}
+		cols[k] = c
+	}
+	lanes := make([]int32, len(rows))
+	for i := range lanes {
+		lanes[i] = int32(i)
+	}
+	return st.stepLanes(cols[0], cols[1], lanes, &rankKScratch{})
 }
 
 // TestFusedOfDetection: the executor honours the optimizer's marks and
 // nothing else, re-checking only the structural requirements.
 func TestFusedOfDetection(t *testing.T) {
 	call := outerSumCall(t)
-	if fusedOf(call) != fusedOuterSum {
-		t.Fatal("marked SUM(outer_product) not fused")
+	if sp := fusedOf(call); sp.kind != plan.FuseOuterSum || !sp.sym {
+		t.Fatal("marked Gram SUM(outer_product) not fused symmetric")
 	}
 	// An unmarked call never fuses: the executor does not pattern-match.
 	unmarked := call
 	unmarked.Fuse = plan.FuseNone
-	if fusedOf(unmarked) != fusedNone {
+	if fusedOf(unmarked).kind != plan.FuseNone {
 		t.Fatal("unmarked SUM(outer_product) fused")
 	}
 	// COUNT never fuses.
 	cnt, _ := builtins.LookupAgg("count")
-	if fusedOf(plan.AggCall{Spec: cnt, Input: call.Input, Fuse: plan.FuseOuterSum}) != fusedNone {
+	if fusedOf(plan.AggCall{Spec: cnt, Input: call.Input, Fuse: plan.FuseOuterSum}).kind != plan.FuseNone {
 		t.Fatal("COUNT misfused")
 	}
 	// A mismarked SUM of a plain column degrades to unfused.
 	sum, _ := builtins.LookupAgg("sum")
-	if fusedOf(plan.AggCall{Spec: sum, Input: col(0, types.TDouble), Fuse: plan.FuseOuterSum}) != fusedNone {
+	if fusedOf(plan.AggCall{Spec: sum, Input: col(0, types.TDouble), Fuse: plan.FuseOuterSum}).kind != plan.FuseNone {
 		t.Fatal("plain SUM misfused")
 	}
 	// SUM(matrix_multiply) fuses.
 	mm, _ := builtins.Lookup("matrix_multiply")
 	mcall := &plan.Call{Fn: mm, Args: []plan.Expr{col(0, types.TMatrix(types.UnknownDim, types.UnknownDim)), col(0, types.TMatrix(types.UnknownDim, types.UnknownDim))}}
-	if fusedOf(plan.AggCall{Spec: sum, Input: mcall, Fuse: plan.FuseMatMulSum}) != fusedMatMulSum {
+	if fusedOf(plan.AggCall{Spec: sum, Input: mcall, Fuse: plan.FuseMatMulSum}).kind != plan.FuseMatMulSum {
 		t.Fatal("marked SUM(matrix_multiply) not fused")
+	}
+	// A general product never mirrors, whatever the mark says.
+	if fusedOf(plan.AggCall{Spec: sum, Input: mcall, Fuse: plan.FuseMatMulSum, FuseSym: true}).sym {
+		t.Fatal("SUM(matrix_multiply(a, a)) marked symmetric")
+	}
+	// A symmetric mark over different operands degrades to the full update.
+	asym := outerSumCall(t)
+	asym.Input.(*plan.Call).Args[1] = col(1, types.TVector(types.KnownDim(2)))
+	if sp := fusedOf(asym); sp.kind != plan.FuseOuterSum || sp.sym {
+		t.Fatal("mismarked symmetric outer sum mirrored")
+	}
+	// A trans-matmul mark needs a trans_matrix left factor.
+	if fusedOf(plan.AggCall{Spec: sum, Input: mcall, Fuse: plan.FuseTransMulSum}).kind != plan.FuseNone {
+		t.Fatal("trans-matmul mark without trans_matrix fused")
 	}
 }
 
@@ -63,15 +114,9 @@ func TestFusedOuterSumMatchesUnfused(t *testing.T) {
 		{value.Vector(linalg.VectorOf(0, 5))},
 	}
 	// Fused path.
-	states := newStates([]plan.AggCall{call}, true)
-	fused, ok := states[0].(*fusedSumState)
-	if !ok {
-		t.Fatalf("state is %T, want fused", states[0])
-	}
-	for _, r := range rows {
-		if err := fused.stepFused(nil, r); err != nil {
-			t.Fatal(err)
-		}
+	fused := fusedState(t, call)
+	if err := stepWindow(fused, call, rows); err != nil {
+		t.Fatal(err)
 	}
 	got, err := fused.Final()
 	if err != nil {
@@ -99,8 +144,7 @@ func TestFusedOuterSumMatchesUnfused(t *testing.T) {
 
 func TestFusedSumEmptyIsNull(t *testing.T) {
 	call := outerSumCall(t)
-	states := newStates([]plan.AggCall{call}, true)
-	v, err := states[0].Final()
+	v, err := fusedState(t, call).Final()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,10 +155,9 @@ func TestFusedSumEmptyIsNull(t *testing.T) {
 
 func TestFusedSumMerge(t *testing.T) {
 	call := outerSumCall(t)
-	a := newStates([]plan.AggCall{call}, true)[0].(*fusedSumState)
-	b := newStates([]plan.AggCall{call}, true)[0].(*fusedSumState)
-	_ = a.stepFused(nil, value.Row{value.Vector(linalg.VectorOf(1, 0))})
-	_ = b.stepFused(nil, value.Row{value.Vector(linalg.VectorOf(0, 2))})
+	a, b := fusedState(t, call), fusedState(t, call)
+	_ = stepWindow(a, call, []value.Row{{value.Vector(linalg.VectorOf(1, 0))}})
+	_ = stepWindow(b, call, []value.Row{{value.Vector(linalg.VectorOf(0, 2))}})
 	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +167,11 @@ func TestFusedSumMerge(t *testing.T) {
 		t.Fatalf("merged = %v", got.Mat)
 	}
 	// Merging an empty state is a no-op.
-	if err := a.Merge(newStates([]plan.AggCall{call}, true)[0]); err != nil {
+	if err := a.Merge(fusedState(t, call)); err != nil {
 		t.Fatal(err)
 	}
 	// Merging into an empty state adopts the other side.
-	c := newStates([]plan.AggCall{call}, true)[0].(*fusedSumState)
+	c := fusedState(t, call)
 	if err := c.Merge(a); err != nil {
 		t.Fatal(err)
 	}
@@ -140,14 +183,14 @@ func TestFusedSumMerge(t *testing.T) {
 
 func TestFusedSumNullInputsSkipped(t *testing.T) {
 	call := outerSumCall(t)
-	st := newStates([]plan.AggCall{call}, true)[0].(*fusedSumState)
-	if err := st.stepFused(nil, value.Row{value.Null()}); err != nil {
+	st := fusedState(t, call)
+	if err := stepWindow(st, call, []value.Row{{value.Null()}}); err != nil {
 		t.Fatal(err)
 	}
-	if st.count != 0 {
-		t.Fatal("null row counted")
+	if v, _ := st.Final(); !v.IsNull() {
+		t.Fatal("null row accumulated")
 	}
-	if err := st.stepFused(nil, value.Row{value.Vector(linalg.VectorOf(1, 1))}); err != nil {
+	if err := stepWindow(st, call, []value.Row{{value.Null()}, {value.Vector(linalg.VectorOf(1, 1))}}); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := st.Final()
@@ -159,10 +202,14 @@ func TestFusedSumNullInputsSkipped(t *testing.T) {
 
 func TestFusedSumShapeError(t *testing.T) {
 	call := outerSumCall(t)
-	st := newStates([]plan.AggCall{call}, true)[0].(*fusedSumState)
-	_ = st.stepFused(nil, value.Row{value.Vector(linalg.VectorOf(1, 2))})
-	if err := st.stepFused(nil, value.Row{value.Vector(linalg.VectorOf(1, 2, 3))}); err == nil {
-		t.Fatal("shape mismatch accepted")
+	st := fusedState(t, call)
+	_ = stepWindow(st, call, []value.Row{{value.Vector(linalg.VectorOf(1, 2))}})
+	if err := stepWindow(st, call, []value.Row{{value.Vector(linalg.VectorOf(1, 2, 3))}}); err == nil {
+		t.Fatal("shape mismatch across windows accepted")
+	}
+	st = fusedState(t, call)
+	if err := stepWindow(st, call, []value.Row{{value.Vector(linalg.VectorOf(1, 2))}, {value.Vector(linalg.VectorOf(1, 2, 3))}}); err == nil {
+		t.Fatal("shape mismatch within a window accepted")
 	}
 }
 
@@ -206,9 +253,9 @@ func TestProjectionFusionMatchesUnfused(t *testing.T) {
 
 func TestFusedSumStepUnfusedPath(t *testing.T) {
 	// The generic Step path (fed pre-computed matrices) must agree with
-	// stepFused; the distributed merge path can deliver values this way.
+	// stepLanes; the distributed merge path can deliver values this way.
 	call := outerSumCall(t)
-	st := newStates([]plan.AggCall{call}, true)[0].(*fusedSumState)
+	st := fusedState(t, call)
 	if err := st.Step(value.Null()); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +276,7 @@ func TestFusedSumStepUnfusedPath(t *testing.T) {
 		t.Fatal("non-matrix Step accepted")
 	}
 	// Step must not mutate its first input (it clones).
-	fresh := newStates([]plan.AggCall{call}, true)[0].(*fusedSumState)
+	fresh := fusedState(t, call)
 	_ = fresh.Step(value.Matrix(m1))
 	_ = fresh.Step(value.Matrix(m2))
 	if m1.At(0, 1) != 0 {
@@ -252,13 +299,10 @@ func TestFusedMatMulSum(t *testing.T) {
 		T:     mt,
 		Fuse:  plan.FuseMatMulSum,
 	}
-	st := newStates([]plan.AggCall{call}, true)[0].(*fusedSumState)
+	st := fusedState(t, call)
 	id := linalg.Identity(2)
 	two := id.Scale(2)
-	if err := st.stepFused(nil, value.Row{value.Matrix(id), value.Matrix(two)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.stepFused(nil, value.Row{value.Matrix(two), value.Matrix(two)}); err != nil {
+	if err := stepWindow(st, call, []value.Row{{value.Matrix(id), value.Matrix(two)}, {value.Matrix(two), value.Matrix(two)}}); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := st.Final()
@@ -266,7 +310,7 @@ func TestFusedMatMulSum(t *testing.T) {
 		t.Fatalf("fused matmul sum = %v", got.Mat)
 	}
 	// Kind errors.
-	if err := st.stepFused(nil, value.Row{value.Int(1), value.Matrix(id)}); err == nil {
+	if err := stepWindow(st, call, []value.Row{{value.Int(1), value.Matrix(id)}}); err == nil {
 		t.Fatal("non-matrix operand accepted")
 	}
 }
@@ -298,5 +342,98 @@ func TestCompareForSortNulls(t *testing.T) {
 	}
 	if c, err := compareForSort(value.Int(1), value.Int(2)); err != nil || c != -1 {
 		t.Fatalf("1/2 = %d, %v", c, err)
+	}
+}
+
+// transGramAgg is SUM(matrix_multiply(trans_matrix(m), m)) over a one-column
+// table of blocks, with the given fusion mark.
+func transGramAgg(t *testing.T, blocks int, fuse plan.FuseKind) *plan.Agg {
+	t.Helper()
+	spec, _ := builtins.LookupAgg("sum")
+	mm, _ := builtins.Lookup("matrix_multiply")
+	tr, _ := builtins.Lookup("trans_matrix")
+	mt := types.TMatrix(types.KnownDim(4), types.KnownDim(3))
+	gt := types.TMatrix(types.KnownDim(3), types.KnownDim(3))
+	m := col(0, mt)
+	input := &plan.Call{Fn: mm, Args: []plan.Expr{
+		&plan.Call{Fn: tr, Args: []plan.Expr{m}, T: types.TMatrix(types.KnownDim(3), types.KnownDim(4))}, m}, T: gt}
+	return &plan.Agg{
+		Input: scanNode("xb", int64(blocks), catalog.Column{Name: "m", Type: mt}),
+		Aggs:  []plan.AggCall{{Spec: spec, Input: input, T: gt, Fuse: fuse, FuseSym: true}},
+		Out:   plan.Schema{{Name: "s", T: gt}},
+	}
+}
+
+// transGramAllocs is the allocations of one run of transGramAgg over n
+// blocks on a single-partition cluster.
+func transGramAllocs(t *testing.T, n int, fuse plan.FuseKind) float64 {
+	t.Helper()
+	rows := make([]value.Row, n)
+	for i := range rows {
+		m := linalg.NewMatrix(4, 3)
+		for j := range m.Data {
+			m.Data[j] = float64((i+j)%7) - 3
+		}
+		rows[i] = value.Row{value.Matrix(m)}
+	}
+	ctx := &Context{Cluster: cluster.New(cluster.Config{Nodes: 1, PartitionsPerNode: 1}),
+		Tables: memSource{"xb": {rows}}, Timings: NewTimings()}
+	agg := transGramAgg(t, n, fuse)
+	var runErr error
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Run(ctx, agg); err != nil {
+			runErr = err
+		}
+	})
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	return allocs
+}
+
+// TestTransGramAllocsFlat pins the window kernel's allocation profile: a
+// Gram sum over N blocks allocates the same whatever N is — no transpose per
+// block, no per-row evaluation result — while the per-block product the
+// trans-matmul mark replaces allocates a transpose for every block.
+func TestTransGramAllocsFlat(t *testing.T) {
+	small, large := transGramAllocs(t, 8, plan.FuseTransMulSum), transGramAllocs(t, 512, plan.FuseTransMulSum)
+	if large > small {
+		t.Fatalf("trans-matmul Gram: %v allocs over 8 blocks, %v over 512", small, large)
+	}
+	perBlock := transGramAllocs(t, 512, plan.FuseMatMulSum)
+	if perBlock < large+512 {
+		t.Fatalf("per-block product: %v allocs over 512 blocks, want at least one per block over the kernel's %v", perBlock, large)
+	}
+}
+
+// TestFusedSumNonFiniteGoesPerRow: a window holding a NaN or ±Inf takes the
+// per-row path and the state stays there, so later finite windows never
+// mirror; the result matches per-row accumulation bit for bit throughout.
+func TestFusedSumNonFiniteGoesPerRow(t *testing.T) {
+	call := outerSumCall(t)
+	windows := [][]value.Row{
+		{{value.Vector(linalg.VectorOf(1.5, -2))}, {value.Vector(linalg.VectorOf(0.25, 3))}},
+		{{value.Vector(linalg.VectorOf(math.Float64frombits(0x7ff8000000000005), 1))}, {value.Vector(linalg.VectorOf(math.Inf(-1), 2))}},
+		{{value.Vector(linalg.VectorOf(-1, 7))}},
+	}
+	st := fusedState(t, call)
+	ref := linalg.NewMatrix(2, 2)
+	for w, rows := range windows {
+		if err := stepWindow(st, call, rows); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			if err := r[0].Vec.OuterAddInto(ref, r[0].Vec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want := w > 0; st.perRow != want {
+			t.Fatalf("after window %d: perRow = %v, want %v", w, st.perRow, want)
+		}
+		for i, x := range ref.Data {
+			if math.Float64bits(x) != math.Float64bits(st.acc.Data[i]) {
+				t.Fatalf("after window %d: entry %d is %v, per-row gives %v", w, i, st.acc.Data[i], x)
+			}
+		}
 	}
 }

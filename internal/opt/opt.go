@@ -210,7 +210,7 @@ func (o *Optimizer) optimizeNode(n plan.Node) (plan.Node, error) {
 func (o *Optimizer) markFuses(aggs []plan.AggCall) []plan.AggCall {
 	out := make([]plan.AggCall, len(aggs))
 	for i, a := range aggs {
-		a.Fuse = o.markFuse(a)
+		a.Fuse, a.FuseSym = o.markFuse(a)
 		out[i] = a
 	}
 	return out
@@ -221,24 +221,32 @@ func (o *Optimizer) markFuses(aggs []plan.AggCall) []plan.AggCall {
 // buffer instead of materializing a result object per row. The output
 // matrix's size makes fusion win whenever the pattern applies, so the cost
 // model here is a structural test; everything else is explicitly unfused so
-// the executor need not re-derive the decision.
-func (o *Optimizer) markFuse(a plan.AggCall) plan.FuseKind {
+// the executor need not re-derive the decision. A product whose left factor
+// is trans_matrix(a) is marked FuseTransMulSum, so the executor accumulates
+// aᵀb from a's rows without transposing; sym reports that the two operands
+// of an outer or trans-matmul sum are the same expression (a Gram matrix).
+func (o *Optimizer) markFuse(a plan.AggCall) (kind plan.FuseKind, sym bool) {
 	if a.Spec == nil || a.Spec.Name != "sum" || a.Input == nil {
-		return plan.FuseNone
+		return plan.FuseNone, false
 	}
 	call, ok := a.Input.(*plan.Call)
 	if !ok || len(call.Args) != 2 {
-		return plan.FuseNone
+		return plan.FuseNone, false
 	}
+	l, r := call.Args[0], call.Args[1]
 	switch call.Fn.Name {
 	case "outer_product":
-		o.stats.FuseMarked.Add(1)
-		return plan.FuseOuterSum
+		kind = plan.FuseOuterSum
 	case "matrix_multiply":
-		o.stats.FuseMarked.Add(1)
-		return plan.FuseMatMulSum
+		kind = plan.FuseMatMulSum
+		if t, ok := l.(*plan.Call); ok && t.Fn.Name == "trans_matrix" && len(t.Args) == 1 {
+			kind, l = plan.FuseTransMulSum, t.Args[0]
+		}
+	default:
+		return plan.FuseNone, false
 	}
-	return plan.FuseNone
+	o.stats.FuseMarked.Add(1)
+	return kind, kind != plan.FuseMatMulSum && plan.SameExpr(l, r)
 }
 
 // colWidth is the costed byte width of a type.

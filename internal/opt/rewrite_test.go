@@ -242,6 +242,40 @@ func TestRewriteFuseMarking(t *testing.T) {
 	}
 }
 
+// TestFuseMarksGramShapes pins the marks behind the window kernels: a
+// trans_matrix left factor marks a trans-matmul sum, and identical operands
+// (a Gram matrix) mark it symmetric; a general product and different
+// operands are never symmetric.
+func TestFuseMarksGramShapes(t *testing.T) {
+	cat := laCatalog(t)
+	type mark struct {
+		kind plan.FuseKind
+		sym  bool
+	}
+	for _, c := range []struct {
+		sql  string
+		want []mark
+	}{
+		{`SELECT SUM(outer_product(x, x)) AS g, SUM(outer_product(x, y)) AS h FROM vv`,
+			[]mark{{plan.FuseOuterSum, true}, {plan.FuseOuterSum, false}}},
+		{`SELECT SUM(matrix_multiply(trans_matrix(a), a)) AS g, SUM(matrix_multiply(trans_matrix(a), b)) AS h,
+			SUM(matrix_multiply(a, a)) AS p FROM m3`,
+			[]mark{{plan.FuseTransMulSum, true}, {plan.FuseTransMulSum, false}, {plan.FuseMatMulSum, false}}},
+	} {
+		opts, _ := statsOptions()
+		n := optimize(t, cat, c.sql, opts)
+		ag := findAgg(n)
+		if ag == nil {
+			t.Fatalf("no Agg in plan:\n%s", plan.Explain(n))
+		}
+		for i, w := range c.want {
+			if got := ag.Aggs[i]; got.Fuse != w.kind || got.FuseSym != w.sym {
+				t.Errorf("agg %d: Fuse=%v sym=%v, want %v sym=%v; plan:\n%s", i, got.Fuse, got.FuseSym, w.kind, w.sym, plan.Explain(n))
+			}
+		}
+	}
+}
+
 // findAgg returns the first Agg node in the tree.
 func findAgg(n plan.Node) *plan.Agg {
 	if ag, ok := n.(*plan.Agg); ok {

@@ -68,6 +68,13 @@ func explain(b *strings.Builder, n Node, depth int) {
 			} else {
 				aggs[i] = a.Spec.Name + "(" + a.Input.String() + ")"
 			}
+			if a.Fuse != FuseNone {
+				aggs[i] += " [" + a.Fuse.String()
+				if a.FuseSym {
+					aggs[i] += ", symmetric"
+				}
+				aggs[i] += "]"
+			}
 		}
 		fmt.Fprintf(b, "%sAggregate group=[%s] aggs=[%s]\n", indent,
 			strings.Join(groups, ", "), strings.Join(aggs, ", "))

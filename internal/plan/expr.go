@@ -247,6 +247,30 @@ func (s *ScalarSubquery) Eval(*EvalCtx, value.Row) (value.Value, error) {
 func (s *ScalarSubquery) String() string     { return "(subquery)" }
 func (s *ScalarSubquery) Walk(fn func(Expr)) { fn(s) }
 
+// SameExpr reports whether a and b are structurally the same column
+// reference or the same function over the same arguments, so they evaluate
+// to the same value on every row. It is conservative: any other expression
+// shape compares unequal.
+func SameExpr(a, b Expr) bool {
+	switch x := a.(type) {
+	case *Col:
+		y, ok := b.(*Col)
+		return ok && x.Idx == y.Idx
+	case *Call:
+		y, ok := b.(*Call)
+		if !ok || x.Fn != y.Fn || len(x.Args) != len(y.Args) {
+			return false
+		}
+		for i := range x.Args {
+			if !SameExpr(x.Args[i], y.Args[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
 // ColsUsed returns the sorted set of column indexes referenced by e.
 func ColsUsed(e Expr) []int {
 	seen := map[int]bool{}

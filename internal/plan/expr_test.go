@@ -213,3 +213,29 @@ func TestSchemaHelpersPlan(t *testing.T) {
 		t.Fatalf("types %v", ts)
 	}
 }
+
+// TestSameExpr: column references and calls compare structurally; every
+// other shape, subqueries included, is conservatively different.
+func TestSameExpr(t *testing.T) {
+	tr, _ := builtins.Lookup("trans_matrix")
+	inv, _ := builtins.Lookup("matrix_inverse")
+	call := func(fn *builtins.Builtin, arg Expr) *Call { return &Call{Fn: fn, Args: []Expr{arg}} }
+	sub := &ScalarSubquery{}
+	for _, c := range []struct {
+		a, b Expr
+		want bool
+	}{
+		{intCol(0), intCol(0), true},
+		{intCol(0), intCol(1), false},
+		{call(tr, intCol(2)), call(tr, intCol(2)), true},
+		{call(tr, intCol(2)), call(inv, intCol(2)), false},
+		{call(tr, intCol(2)), call(tr, intCol(3)), false},
+		{call(tr, intCol(2)), intCol(2), false},
+		{sub, sub, false},
+		{boolConst(true), boolConst(true), false},
+	} {
+		if got := SameExpr(c.a, c.b); got != c.want {
+			t.Errorf("SameExpr(%s, %s) = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
+}

@@ -133,10 +133,24 @@ type FuseKind uint8
 
 // Fuse decisions.
 const (
-	FuseNone      FuseKind = iota // no fusion applies
-	FuseOuterSum                  // accumulate SUM(outer_product(x, y)) in place
-	FuseMatMulSum                 // accumulate SUM(matrix_multiply(a, b)) in place
+	FuseNone        FuseKind = iota // no fusion applies
+	FuseOuterSum                    // accumulate SUM(outer_product(x, y)) in place
+	FuseMatMulSum                   // accumulate SUM(matrix_multiply(a, b)) in place
+	FuseTransMulSum                 // accumulate SUM(matrix_multiply(trans_matrix(a), b)) as a rank-k update over a's rows
 )
+
+// String names the decision as EXPLAIN prints it.
+func (k FuseKind) String() string {
+	switch k {
+	case FuseOuterSum:
+		return "fused outer-sum"
+	case FuseMatMulSum:
+		return "fused matmul-sum"
+	case FuseTransMulSum:
+		return "fused trans-matmul-sum"
+	}
+	return ""
+}
 
 // AggCall is one aggregate in an Agg node. Input is nil for COUNT(*).
 type AggCall struct {
@@ -145,6 +159,10 @@ type AggCall struct {
 	T     types.T
 	// Fuse records the optimizer's fused-accumulation decision; see FuseKind.
 	Fuse FuseKind
+	// FuseSym records that the two operands of an outer-sum or
+	// trans-matmul-sum are the same expression: the sum is a Gram matrix,
+	// and only one triangle of each update needs computing.
+	FuseSym bool
 }
 
 // Agg groups by the GroupBy expressions and computes the aggregate calls.
