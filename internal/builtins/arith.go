@@ -114,19 +114,17 @@ func arithScalar(op string, l, r value.Value) (value.Value, error) {
 			return value.Int(l.I / r.I), nil
 		}
 	}
-	a, _ := l.AsDouble()
-	b, _ := r.AsDouble()
-	switch op {
-	case "+":
-		return value.Double(a + b), nil
-	case "-":
-		return value.Double(a - b), nil
-	case "*":
-		return value.Double(a * b), nil
-	case "/":
-		return value.Double(a / b), nil
+	// One lane of the window kernel, not an inline a op b: which operand's
+	// payload survives when two NaNs meet depends on the instruction the
+	// compiler picks for each loop, so the row and window paths agree only
+	// when they run the same code.
+	var a, b, out [1]float64
+	a[0], _ = l.AsDouble()
+	b[0], _ = r.AsDouble()
+	if err := VecArithFloat(op, out[:], a[:], b[:], nil); err != nil {
+		return value.Null(), err
 	}
-	return value.Null(), fmt.Errorf("builtins: unknown arithmetic operator %q", op)
+	return value.Double(out[0]), nil
 }
 
 func arithVecVec(op string, l, r *linalg.Vector) (value.Value, error) {

@@ -2,6 +2,7 @@ package builtins
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"relalg/internal/linalg"
@@ -94,6 +95,43 @@ func TestArithScalarValues(t *testing.T) {
 	got, _ = Arith(nil, "-", value.LabeledScalar(4, 1), value.Int(1))
 	if !got.Equal(value.Double(3)) {
 		t.Fatalf("labeled-int = %v", got)
+	}
+}
+
+// TestArithScalarNaNPayloadMatchesWindow: when two NaNs with different
+// payloads meet, the row path (Arith) must keep the same one as the window
+// kernels, or moving an operator between the two paths changes result bits.
+func TestArithScalarNaNPayloadMatchesWindow(t *testing.T) {
+	nans := []float64{
+		math.Float64frombits(0xfff8000000000000), // Inf - Inf on amd64
+		math.Float64frombits(0x7ff8000000000001),
+	}
+	for _, op := range []string{"+", "-", "*", "/"} {
+		for _, pair := range [][2]float64{{nans[0], nans[1]}, {nans[1], nans[0]}, {nans[0], 2}, {-3, nans[1]}} {
+			l, r := pair[0], pair[1]
+			row, err := Arith(nil, op, value.Double(l), value.Double(r))
+			if err != nil {
+				t.Fatal(err)
+			}
+			win := make([]float64, 1)
+			if err := VecArithFloat(op, win, []float64{l}, []float64{r}, nil); err != nil {
+				t.Fatal(err)
+			}
+			sel := make([]float64, 2)
+			if err := VecArithFloat(op, sel, []float64{0, l}, []float64{0, r}, []int32{1}); err != nil {
+				t.Fatal(err)
+			}
+			konst := make([]float64, 1)
+			if err := VecArithConst(op, konst, []float64{l}, r, nil); err != nil {
+				t.Fatal(err)
+			}
+			want := math.Float64bits(row.D)
+			for name, got := range map[string]float64{"window": win[0], "window with selection": sel[1], "constant operand": konst[0]} {
+				if math.Float64bits(got) != want {
+					t.Errorf("%x %s %x: row path %x, %s %x", math.Float64bits(l), op, math.Float64bits(r), want, name, math.Float64bits(got))
+				}
+			}
+		}
 	}
 }
 

@@ -649,6 +649,81 @@ func TestScalarSubqueries(t *testing.T) {
 	}
 }
 
+// TestDistinctSubqueriesOverJoin: two expressions over a join that differ
+// only in which scalar subquery they read print the same, since every
+// subquery prints as "(subquery)"; the join planner must still evaluate
+// each with its own subquery, whole or as a part below the join. The same
+// holds for constants that print alike: (c.i + 1) is an INTEGER, (c.i + 1.0)
+// a DOUBLE, and dividing by the one is integer division.
+func TestDistinctSubqueriesOverJoin(t *testing.T) {
+	db := testDB(t)
+	db.MustExec("CREATE TABLE a (id INTEGER, v DOUBLE)")
+	db.MustExec("CREATE TABLE b (id INTEGER, w DOUBLE)")
+	db.MustExec("INSERT INTO a VALUES (1, 2), (2, 3)")
+	db.MustExec("INSERT INTO b VALUES (1, 10), (2, 20)")
+	for _, q := range []string{
+		`SELECT a.id, a.v * (SELECT MAX(w) FROM b), a.v * (SELECT MIN(w) FROM b)
+			FROM a, b WHERE a.id = b.id ORDER BY a.id`,
+		`SELECT a.id, a.v * (SELECT MAX(w) FROM b) + b.w, a.v * (SELECT MIN(w) FROM b) + b.w
+			FROM a, b WHERE a.id = b.id ORDER BY a.id`,
+	} {
+		res := mustQuery(t, db, q)
+		if len(res.Rows) != 2 {
+			t.Fatalf("%q: rows %v", q, res.Rows)
+		}
+		for _, r := range res.Rows {
+			// a.v = id+1; MAX(w) - MIN(w) = 10.
+			if r[1].D-r[2].D != float64(r[0].I+1)*10 {
+				t.Fatalf("%q: subqueries merged: %v", q, res.Rows)
+			}
+		}
+	}
+
+	db.MustExec("CREATE TABLE c (i INTEGER)")
+	db.MustExec("CREATE TABLE d (j INTEGER)")
+	db.MustExec("INSERT INTO c VALUES (1)")
+	db.MustExec("INSERT INTO d VALUES (4), (0)")
+	q := `SELECT d.j, (c.i + 1) * d.j, (c.i + 1.0) / d.j FROM c, d ORDER BY d.j`
+	res := mustQuery(t, db, q)
+	want := []value.Row{
+		{value.Int(0), value.Int(0), value.Double(math.Inf(1))},
+		{value.Int(4), value.Int(8), value.Double(0.5)},
+	}
+	if len(res.Rows) != len(want) {
+		t.Fatalf("%q: rows %v", q, res.Rows)
+	}
+	for i, r := range res.Rows {
+		for k := range r {
+			if r[k].Kind != want[i][k].Kind || !r[k].Equal(want[i][k]) {
+				t.Fatalf("%q: row %d = %v, want %v", q, i, r, want[i])
+			}
+		}
+	}
+}
+
+// TestCSEKeepsDistinctSubqueries: common-subexpression extraction shares
+// only structurally equal subtrees, not ones that merely print alike.
+func TestCSEKeepsDistinctSubqueries(t *testing.T) {
+	db := testDB(t)
+	db.MustExec("CREATE TABLE b (w DOUBLE)")
+	db.MustExec("INSERT INTO b VALUES (10), (20)")
+	db.MustExec("CREATE TABLE v (x VECTOR[2])")
+	if err := db.LoadTable("v", []value.Row{{VectorValue(1, 2)}}); err != nil {
+		t.Fatal(err)
+	}
+	res := mustQuery(t, db, `SELECT sum_vector(x * (SELECT MAX(w) FROM b)), sum_vector(x * (SELECT MIN(w) FROM b)),
+		sum_vector(x * 2), sum_vector(x * 2.5) FROM v`)
+	want := []float64{60, 30, 6, 7.5}
+	if len(res.Rows) != 1 {
+		t.Fatalf("rows %v", res.Rows)
+	}
+	for i, w := range want {
+		if got := res.Rows[0][i]; !got.Equal(value.Double(w)) {
+			t.Fatalf("column %d = %v, want %v (row %v)", i, got, w, res.Rows[0])
+		}
+	}
+}
+
 // TestPartitionByHashSkipsShuffles reproduces the paper's §2.1 scenario:
 // a table pre-partitioned on the join key is not re-shuffled; only the
 // other side moves. Groupings on the partition column also stay local.

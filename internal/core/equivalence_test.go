@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"relalg/internal/cluster"
@@ -171,4 +174,156 @@ func TestClusterShapeInvariance(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestEagerSubExpressionBitIdentical: a product over one side of a join runs
+// once per row of that side when eager projection moves it below the join,
+// and once per joined pair without it. The same builtin sees the same
+// operands either way, so every result must be byte-identical — NULL
+// matrices, NaN, ±Inf and -0 entries included — at every window size. The
+// full configuration must actually compute the sub-expression below the
+// join, or the comparison would be vacuous.
+func TestEagerSubExpressionBitIdentical(t *testing.T) {
+	queries := []struct{ sql, hoisted string }{
+		// Three-way cross join, product over am and one copy of xd.
+		{`SELECT x1.mi, x2.mi, row_mins(matrix_multiply(x1.m, matrix_multiply(a.val, trans_matrix(x2.m))))
+			FROM xd AS x1, xd AS x2, am AS a`, "matrix_multiply(#"},
+		// The same shape over an equi-join.
+		{`SELECT x1.mi, x2.mi, row_mins(matrix_multiply(x1.m, matrix_multiply(a.val, trans_matrix(x2.m))))
+			FROM xd AS x1, xd AS x2, am AS a WHERE x1.g = x2.g`, "matrix_multiply(#"},
+		// The distance tile: masked minima grouped per block.
+		{`SELECT x1.mi, MIN(row_mins(matrix_multiply(matrix_multiply(x1.m, a.val), trans_matrix(x2.m))
+				+ identity_matrix(3) * (1e300 * (1 / (1 + (x1.mi - x2.mi) * (x1.mi - x2.mi))))))
+			FROM xd AS x1, xd AS x2, am AS a GROUP BY x1.mi`, "matrix_multiply(#"},
+		// Narrowing sub-expressions over each side, NaN payloads from both
+		// meeting in one vector-by-scalar product.
+		{`SELECT x1.mi, x2.mi, row_sums(x1.m) * frobenius_norm(matrix_multiply(a.val, trans_matrix(x2.m)))
+			FROM xd AS x1, xd AS x2, am AS a`, "frobenius_norm(matrix_multiply(#"},
+		// Two different NaN payloads meeting in a DOUBLE-by-DOUBLE product:
+		// x1 block 2 sums Inf + -Inf, x2 block 1 holds a NaN entry. Eager
+		// projection moves the product from generic lanes (the row
+		// arithmetic) to a typed window kernel.
+		{`SELECT x1.mi, x2.mi, sum_matrix(x1.m) * frobenius_norm(matrix_multiply(a.val, trans_matrix(x2.m))),
+				frobenius_norm(matrix_multiply(a.val, trans_matrix(x2.m))) + sum_matrix(x1.m)
+			FROM xd AS x1, xd AS x2, am AS a`, "frobenius_norm(matrix_multiply(#"},
+	}
+	noEager := opt.DefaultOptions()
+	noEager.EagerProjection = false
+	configs := map[string]opt.Options{"full": opt.DefaultOptions(), "no-eager": noEager}
+
+	for _, window := range []int{1, 3, 1024} {
+		results := map[string][][]byte{}
+		for name, opts := range configs {
+			cfg := DefaultConfig()
+			cfg.Cluster = cluster.Config{Nodes: 2, PartitionsPerNode: 2, SerializeShuffles: true}
+			cfg.Optimizer = opts
+			cfg.BatchSize = window
+			db := Open(cfg)
+			loadDistanceTables(t, db)
+			for _, q := range queries {
+				res, err := db.Query(q.sql)
+				if err != nil {
+					t.Fatalf("%s window %d: %q: %v", name, window, q.sql, err)
+				}
+				if len(res.Rows) == 0 {
+					t.Fatalf("%q returned no rows", q.sql)
+				}
+				results[name] = append(results[name], encodeSorted(res.Rows))
+				if name == "full" && !hoistedBelowJoin(t, db, q.sql, q.hoisted) {
+					t.Fatalf("%q: no sub-expression %s… computed below the top join", q.sql, q.hoisted)
+				}
+			}
+		}
+		for qi, want := range results["no-eager"] {
+			if got := results["full"][qi]; !bytes.Equal(got, want) {
+				t.Fatalf("window %d query %d: eager sub-expressions changed the result bytes", window, qi)
+			}
+		}
+	}
+}
+
+// loadDistanceTables loads point blocks xd (mi, g, m) and a metric am (val):
+// 3×4 blocks whose entries include NaN, ±Inf and -0, one NULL block, and a
+// metric with negative and -0 entries.
+func loadDistanceTables(t *testing.T, db *Database) {
+	t.Helper()
+	db.MustExec(`CREATE TABLE xd (mi INTEGER, g INTEGER, m MATRIX[][])`)
+	db.MustExec(`CREATE TABLE am (val MATRIX[][])`)
+	negZero := math.Copysign(0, -1)
+	var xd []value.Row
+	for mi := 0; mi < 6; mi++ {
+		block := make([][]float64, 3)
+		for i := range block {
+			block[i] = make([]float64, 4)
+			for j := range block[i] {
+				block[i][j] = float64((mi*7+i*3+j*5)%11) - 5
+			}
+		}
+		switch mi {
+		case 1:
+			block[2][1] = math.NaN()
+		case 2:
+			block[0][3] = math.Inf(1)
+			block[1][0] = math.Inf(-1)
+		case 3:
+			block[1][2] = negZero
+			block[0][0] = negZero
+		}
+		m, err := MatrixValue(block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mi == 4 {
+			m = value.Null()
+		}
+		xd = append(xd, value.Row{value.Int(int64(mi)), value.Int(int64(mi % 2)), m})
+	}
+	metric := make([][]float64, 4)
+	for i := range metric {
+		metric[i] = make([]float64, 4)
+		for j := range metric[i] {
+			metric[i][j] = float64((i+1)*(j+2)%5) - 1.5
+		}
+	}
+	metric[2][2] = negZero
+	val, err := MatrixValue(metric)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, rows := range map[string][]value.Row{"xd": xd, "am": {{val}}} {
+		if err := db.LoadTable(name, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// encodeSorted is the row codec's encoding of rows in ascending order of
+// their own encodings: byte-exact values, independent of plan output order.
+func encodeSorted(rows []value.Row) []byte {
+	sorted := append([]value.Row(nil), rows...)
+	sort.Slice(sorted, func(i, j int) bool {
+		return string(value.AppendRow(nil, sorted[i])) < string(value.AppendRow(nil, sorted[j]))
+	})
+	return value.EncodeRows(sorted)
+}
+
+// hoistedBelowJoin reports whether the EXPLAIN of sql has a projection below
+// its topmost join that computes an expression starting with prefix.
+func hoistedBelowJoin(t *testing.T, db *Database, sql, prefix string) bool {
+	t.Helper()
+	res, err := db.Run("EXPLAIN " + sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	belowJoin := false
+	for _, r := range res.Rows {
+		line := strings.TrimSpace(r[0].S)
+		if strings.HasPrefix(line, "CrossJoin") || strings.HasPrefix(line, "HashJoin") {
+			belowJoin = true
+		}
+		if belowJoin && strings.HasPrefix(line, "Project [") && strings.Contains(line, ", "+prefix) {
+			return true
+		}
+	}
+	return false
 }

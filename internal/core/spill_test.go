@@ -82,6 +82,9 @@ func spillDirs(t *testing.T) map[string]bool {
 // results identical to the unlimited run, reports spill activity, and leaves
 // no temp files behind.
 func TestSpillQueryCompletesUnderBudget(t *testing.T) {
+	// A private temp dir: tests of other packages running at the same time
+	// create and remove spill directories of their own under the shared one.
+	t.Setenv("TMPDIR", t.TempDir())
 	baseline := mustQuery(t, spillTestDB(t, 0, 0), spillQuery)
 	if len(baseline.Rows) != 10 {
 		t.Fatalf("baseline groups = %d, want 10", len(baseline.Rows))

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"os"
+	"path/filepath"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -182,46 +184,50 @@ func TestGraceJoinMatchesInMemory(t *testing.T) {
 	}
 }
 
+// groupNode is GROUP BY id with COUNT(*) and SUM over the n-row table that
+// groupTable builds.
+func groupNode(t *testing.T, n int64) *plan.Agg {
+	cnt := mustLookupAgg(t, "count")
+	sum := mustLookupAgg(t, "sum")
+	return &plan.Agg{Input: wideScan("t", n),
+		GroupBy: []plan.Expr{col(0, types.TInt)},
+		Aggs: []plan.AggCall{
+			{Spec: cnt, T: types.TInt},
+			{Spec: sum, Input: col(1, types.TInt), T: types.TInt},
+		},
+		Out: plan.Schema{{Name: "id", T: types.TInt}, {Name: "n", T: types.TInt}, {Name: "s", T: types.TInt}}}
+}
+
+// groupTable has n padded rows over 97 distinct groups (id % 97), so the
+// group table itself overflows a small budget.
+func groupTable(ctx *Context, n int) [][]value.Row {
+	rows := make([]value.Row, n)
+	pad := make([]byte, 48)
+	for i := range pad {
+		pad[i] = 'x'
+	}
+	for i := range rows {
+		rows[i] = value.Row{value.Int(int64(i % 97)), value.Int(int64(i)), value.String_(string(pad))}
+	}
+	return ctx.Cluster.ScatterRoundRobin(rows)
+}
+
 // TestSpillAggMatchesInMemory: hybrid hash aggregation under pressure yields
 // exactly the in-memory grouping (same rows, same order — the sorted-hash
 // phases fix the order in both modes).
 func TestSpillAggMatchesInMemory(t *testing.T) {
 	const n = 600
-	aggNode := func(s *plan.Scan) *plan.Agg {
-		cnt := mustLookupAgg(t, "count")
-		sum := mustLookupAgg(t, "sum")
-		return &plan.Agg{Input: s,
-			GroupBy: []plan.Expr{col(0, types.TInt)},
-			Aggs: []plan.AggCall{
-				{Spec: cnt, T: types.TInt},
-				{Spec: sum, Input: col(1, types.TInt), T: types.TInt},
-			},
-			Out: plan.Schema{{Name: "id", T: types.TInt}, {Name: "n", T: types.TInt}, {Name: "s", T: types.TInt}}}
-	}
-	// Many distinct groups (id % 97) so the group table itself overflows.
-	mk := func(ctx *Context) [][]value.Row {
-		rows := make([]value.Row, n)
-		pad := make([]byte, 48)
-		for i := range pad {
-			pad[i] = 'x'
-		}
-		for i := range rows {
-			rows[i] = value.Row{value.Int(int64(i % 97)), value.Int(int64(i)), value.String_(string(pad))}
-		}
-		return ctx.Cluster.ScatterRoundRobin(rows)
-	}
-
 	base := memSource{}
 	bctx := testCtx(base)
-	base["t"] = mk(bctx)
-	want := mustRows(t, bctx, aggNode(wideScan("t", n)))
+	base["t"] = groupTable(bctx, n)
+	want := mustRows(t, bctx, groupNode(t, n))
 	if len(want) != 97 {
 		t.Fatalf("baseline group count = %d, want 97", len(want))
 	}
 
 	tables := memSource{"t": base["t"]}
 	ctx, mgr, spilled := spillCtx(t, tables, 8<<10)
-	got := mustRows(t, ctx, aggNode(wideScan("t", n)))
+	got := mustRows(t, ctx, groupNode(t, n))
 	if !sameRows(got, want) {
 		t.Fatal("spilling aggregation differs from in-memory aggregation")
 	}
@@ -230,6 +236,64 @@ func TestSpillAggMatchesInMemory(t *testing.T) {
 	}
 	if mgr.LiveRuns() != 0 {
 		t.Fatalf("%d run files leaked", mgr.LiveRuns())
+	}
+}
+
+// TestSpillTimerCoversFileLifecycle: the spill stopwatch brackets creating
+// every run file (the temp directory included) and removing the directory at
+// query end, not only block reads and writes. A TrackIO hook looks at the
+// temp directory when each bracket opens and closes; on one partition nothing
+// else runs concurrently, so a file that appears between the two was created
+// inside the bracket.
+func TestSpillTimerCoversFileLifecycle(t *testing.T) {
+	const n = 600
+	t.Setenv("TMPDIR", t.TempDir())
+	// count("*.run") counts run files, count("") spill directories.
+	count := func(pattern string) int {
+		matches, err := filepath.Glob(filepath.Join(os.TempDir(), spill.DirPrefix+"*", pattern))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(matches)
+	}
+	timings := NewTimings()
+	var brackets, created, dirsRemoved, runs int
+	mgr := spill.NewManager(8<<10, spill.Hooks{
+		RunSpilled: func(int64) { runs++ },
+		TrackIO: func() func() {
+			brackets++
+			files, dirs := count("*.run"), count("")
+			stop := timings.Track("spill")
+			return func() {
+				stop()
+				created += max(0, count("*.run")-files)
+				if count("") < dirs {
+					dirsRemoved++
+				}
+			}
+		},
+	})
+	cl := cluster.New(cluster.Config{Nodes: 1, PartitionsPerNode: 1, SerializeShuffles: true})
+	ctx := &Context{Cluster: cl, Tables: memSource{}, Timings: timings, Spill: mgr}
+	ctx.Tables.(memSource)["t"] = groupTable(ctx, n)
+	if got := mustRows(t, ctx, groupNode(t, n)); len(got) != 97 {
+		t.Fatalf("group count = %d, want 97", len(got))
+	}
+	if runs == 0 {
+		t.Fatal("no runs spilled at an 8KB budget")
+	}
+	if created != runs {
+		t.Fatalf("%d of %d run files were created inside a spill bracket", created, runs)
+	}
+	before := brackets
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if brackets == before || dirsRemoved != 1 {
+		t.Fatalf("closing the manager opened %d brackets and removed %d temp dirs inside one", brackets-before, dirsRemoved)
+	}
+	if timings.Get("spill") <= 0 {
+		t.Fatal("spill timer recorded nothing")
 	}
 }
 

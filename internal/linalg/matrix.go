@@ -498,7 +498,10 @@ func (m *Matrix) Trace() (float64, error) {
 
 // Inverse returns m⁻¹ computed by Gauss-Jordan elimination with partial
 // pivoting. It returns an error for non-square or (numerically) singular
-// input.
+// input. Column col of the working copy is never read after step col, so
+// the row operations on it touch only the columns to its right; inv gets
+// the full rows, element by element in the same order as a plain
+// elimination, so the result does not depend on that narrowing.
 func (m *Matrix) Inverse() (*Matrix, error) {
 	if m.Rows != m.Cols {
 		return nil, fmt.Errorf("%w: inverse of non-square %dx%d matrix", ErrShape, m.Rows, m.Cols)
@@ -522,8 +525,13 @@ func (m *Matrix) Inverse() (*Matrix, error) {
 			swapRows(inv, pivot, col)
 		}
 		p := a.At(col, col)
-		scaleRow(a, col, 1/p)
-		scaleRow(inv, col, 1/p)
+		s := 1 / p
+		ap := a.Row(col)[col+1:]
+		for k := range ap {
+			ap[k] *= s
+		}
+		scaleRow(inv, col, s)
+		ip := inv.Row(col)
 		for r := 0; r < n; r++ {
 			if r == col {
 				continue
@@ -532,8 +540,8 @@ func (m *Matrix) Inverse() (*Matrix, error) {
 			if f == 0 {
 				continue
 			}
-			axpyRow(a, r, col, -f)
-			axpyRow(inv, r, col, -f)
+			axpy(a.Row(r)[col+1:], ap, -f)
+			axpy(inv.Row(r), ip, -f)
 		}
 	}
 	return inv, nil
@@ -563,11 +571,19 @@ func scaleRow(m *Matrix, i int, s float64) {
 	}
 }
 
-// axpyRow adds f * row[src] to row[dst].
-func axpyRow(m *Matrix, dst, src int, f float64) {
-	rd, rs := m.Row(dst), m.Row(src)
-	for k := range rd {
-		rd[k] += f * rs[k]
+// axpy adds f·x[k] to y[k] for every k < len(y), four elements per step.
+// Each element is one multiply and one add, as in a plain loop.
+func axpy(y, x []float64, f float64) {
+	for len(y) >= 4 && len(x) >= 4 {
+		y[0] += f * x[0]
+		y[1] += f * x[1]
+		y[2] += f * x[2]
+		y[3] += f * x[3]
+		y, x = y[4:], x[4:]
+	}
+	x = x[:len(y)] // lets the compiler drop the bounds checks below
+	for k := range y {
+		y[k] += f * x[k]
 	}
 }
 

@@ -3,6 +3,7 @@ package opt
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"relalg/internal/plan"
 	"relalg/internal/types"
@@ -31,15 +32,25 @@ type conjunct struct {
 	m1, m2 uint      // relation masks of each side
 }
 
-// consumer is an expression evaluated immediately above the MultiJoin
-// (projection output, group key, or aggregate input).
+// consumer is an expression evaluated above a join subtree. A whole
+// consumer is consumed immediately above the MultiJoin (projection output,
+// group key, or aggregate input); a sub-consumer is a subtree of another
+// consumer over a strict, non-empty subset of that consumer's relations, so
+// it can be computed lower in the tree than the expression containing it.
 type consumer struct {
 	expr     plan.Expr
 	rels     uint
-	cols     []int
 	outWidth float64
 	inWidth  float64 // summed width of referenced columns
 	trivial  bool    // bare column / constant: never eager-computed
+	whole    bool
+	parents  []int // consumers that contain this one as a sub-consumer
+	// subs maps the subtrees of expr that are sub-consumers to their ids;
+	// direct lists the columns expr reads outside them.
+	subs   map[plan.Expr]int
+	direct []int
+	// eager marks a consumer computed as soon as a join subtree covers rels.
+	eager bool
 }
 
 // joinState carries everything planMultiJoin computes up front.
@@ -52,27 +63,69 @@ type joinState struct {
 	edges     []*conjunct
 	residuals []*conjunct
 	consumers []*consumer
+	byKey     map[string]int // consumer id by plan.Key of its expression
 	nrel      int
 
 	// DP memo, indexed by relation-set bitmask.
 	rowsMemo  map[uint]float64
 	widthMemo map[uint]float64
-	keepMemo  map[uint][]int
-	eligMemo  map[uint][]int
+	outMemo   map[uint]*subsetOut
 	cost      map[uint]float64
 	split     map[uint][2]uint
+}
+
+// subsetOut is the output schema of a join subtree: the global columns it
+// passes through and the consumers it hands up computed, both ascending.
+type subsetOut struct {
+	keep     []int
+	computed []int
 }
 
 // planMultiJoin orders the join set and returns the join tree plus the
 // consumer expressions rewritten over its output schema.
 func (o *Optimizer) planMultiJoin(mj *plan.MultiJoin, consumed []plan.Expr) (plan.Node, []plan.Expr, error) {
+	st, consumerOf, err := o.newJoinState(mj, consumed)
+	if err != nil {
+		return nil, nil, err
+	}
+	full := uint(1)<<st.nrel - 1
+	if st.nrel > 1 {
+		// DP join enumeration (greedy fallback for very large join sets),
+		// costing each sub-consumer as computed on its own relations.
+		st.decideEager(full, func(rels uint) uint { return rels })
+		if st.nrel <= o.opts.MaxDPRelations {
+			st.enumerate(full)
+		} else {
+			st.greedy(full)
+		}
+	}
+	// The chosen tree may first cover a sub-consumer in a larger subset:
+	// check the rows guard there, and derive the subset outputs afresh.
+	st.decideEager(full, st.home)
+	st.outMemo, st.widthMemo = map[uint]*subsetOut{}, map[uint]float64{}
+
+	node, colmap, computed, err := st.build(full)
+	if err != nil {
+		return nil, nil, err
+	}
+	rewritten, err := st.rewriteConsumers(consumed, consumerOf, colmap, computed)
+	if err != nil {
+		return nil, nil, err
+	}
+	return node, rewritten, nil
+}
+
+// newJoinState lays out the MultiJoin's columns, pushes single-relation
+// filters into its inputs, classifies the other conjuncts, and registers the
+// consumers; consumerOf[i] is the consumer id of consumed[i].
+func (o *Optimizer) newJoinState(mj *plan.MultiJoin, consumed []plan.Expr) (*joinState, []int, error) {
 	st := &joinState{
 		o:         o,
 		nrel:      len(mj.Inputs),
+		byKey:     map[string]int{},
 		rowsMemo:  map[uint]float64{},
 		widthMemo: map[uint]float64{},
-		keepMemo:  map[uint][]int{},
-		eligMemo:  map[uint][]int{},
+		outMemo:   map[uint]*subsetOut{},
 		cost:      map[uint]float64{},
 		split:     map[uint][2]uint{},
 	}
@@ -124,84 +177,168 @@ func (o *Optimizer) planMultiJoin(mj *plan.MultiJoin, consumed []plan.Expr) (pla
 		}
 	}
 
-	// Consumers, deduplicated by structure.
-	seen := map[string]int{}
+	// Consumers, deduplicated by structure, then their sub-consumers.
 	consumerOf := make([]int, len(consumed))
 	for i, e := range consumed {
-		key := e.String()
-		if idx, ok := seen[key]; ok {
-			consumerOf[i] = idx
-			continue
-		}
-		cols := plan.ColsUsed(e)
-		mask := st.maskOf(cols)
-		var inW float64
-		for _, c := range cols {
-			inW += o.colWidth(st.gcols[c].t)
-		}
-		_, isCol := e.(*plan.Col)
-		cons := &consumer{
-			expr:     e,
-			rels:     mask,
-			cols:     cols,
-			outWidth: o.colWidth(e.Type()),
-			inWidth:  inW,
-			trivial:  isCol || len(cols) == 0,
-		}
-		idx := len(st.consumers)
-		st.consumers = append(st.consumers, cons)
-		seen[key] = idx
-		consumerOf[i] = idx
+		consumerOf[i], _ = st.addConsumer(e)
+		st.consumers[consumerOf[i]].whole = true
 	}
-
-	full := uint(1)<<st.nrel - 1
-	if st.nrel == 1 {
-		// Degenerate single input (shouldn't occur from the builder, but be safe).
-		node, colmap, computed, err := st.build(1)
-		if err != nil {
-			return nil, nil, err
-		}
-		rewritten, err := st.rewriteConsumers(consumed, consumerOf, colmap, computed)
-		if err != nil {
-			return nil, nil, err
-		}
-		return node, rewritten, nil
+	for i, n := 0, len(st.consumers); i < n; i++ {
+		st.addSubs(i)
 	}
-
-	// DP join enumeration (greedy fallback for very large join sets).
-	if st.nrel <= o.opts.MaxDPRelations {
-		st.enumerate(full)
-	} else {
-		st.greedy(full)
-	}
-
-	node, colmap, computed, err := st.build(full)
-	if err != nil {
-		return nil, nil, err
-	}
-	rewritten, err := st.rewriteConsumers(consumed, consumerOf, colmap, computed)
-	if err != nil {
-		return nil, nil, err
-	}
-	return node, rewritten, nil
+	return st, consumerOf, nil
 }
 
 func (st *joinState) rewriteConsumers(consumed []plan.Expr, consumerOf []int, colmap map[int]int, computed map[int]int) ([]plan.Expr, error) {
 	out := make([]plan.Expr, len(consumed))
 	for i := range consumed {
 		ci := consumerOf[i]
-		cons := st.consumers[ci]
 		if pos, ok := computed[ci]; ok {
-			out[i] = &plan.Col{Idx: pos, Name: fmt.Sprintf("expr%d", ci), T: cons.expr.Type()}
+			out[i] = st.computedCol(ci, pos)
 			continue
 		}
-		e, err := plan.Remap(cons.expr, colmap)
+		e, err := st.exprOver(ci, colmap, computed)
 		if err != nil {
 			return nil, err
 		}
 		out[i] = e
 	}
 	return out, nil
+}
+
+// addConsumer returns the id of the consumer for e, registering it if no
+// structurally equal one exists yet.
+func (st *joinState) addConsumer(e plan.Expr) (int, bool) {
+	key := plan.Key(e)
+	if idx, ok := st.byKey[key]; ok {
+		return idx, false
+	}
+	cols := plan.ColsUsed(e)
+	var inW float64
+	for _, c := range cols {
+		inW += st.o.colWidth(st.gcols[c].t)
+	}
+	_, isCol := e.(*plan.Col)
+	idx := len(st.consumers)
+	st.consumers = append(st.consumers, &consumer{
+		expr:     e,
+		rels:     st.maskOf(cols),
+		outWidth: st.o.colWidth(e.Type()),
+		inWidth:  inW,
+		trivial:  isCol || len(cols) == 0,
+	})
+	st.byKey[key] = idx
+	return idx, true
+}
+
+// addSubs registers the sub-consumers of consumer i: the maximal non-column
+// subtrees of its expression whose relations are a strict, non-empty subset
+// of i's. Each is in turn searched for its own sub-consumers.
+func (st *joinState) addSubs(i int) {
+	c := st.consumers[i]
+	c.subs = map[plan.Expr]int{}
+	var visit func(e plan.Expr)
+	visit = func(e plan.Expr) {
+		if col, ok := e.(*plan.Col); ok {
+			c.direct = append(c.direct, col.Idx)
+			return
+		}
+		for _, x := range plan.Children(e) {
+			if _, isCol := x.(*plan.Col); !isCol {
+				if m := st.maskOf(plan.ColsUsed(x)); m != 0 && m != c.rels {
+					j, isNew := st.addConsumer(x)
+					st.consumers[j].parents = append(st.consumers[j].parents, i)
+					c.subs[x] = j
+					if isNew {
+						st.addSubs(j)
+					}
+					continue
+				}
+			}
+			visit(x)
+		}
+	}
+	visit(c.expr)
+}
+
+// decideEager marks the consumers computed as soon as a join subtree covers
+// their relations: non-trivial ones whose output is narrower than their
+// input. A sub-consumer must also not run on more rows than the subset where
+// its parents would otherwise evaluate it — a selective join above it would
+// otherwise make eager evaluation run more often, not less. at maps a
+// consumer's relations to the subset it is computed in: before the join
+// order is chosen, the relations themselves; after, home in the chosen
+// tree, which may be a larger subset with more rows.
+func (st *joinState) decideEager(full uint, at func(rels uint) uint) {
+	if !st.o.opts.EagerProjection {
+		return
+	}
+	// Parents cover strictly more relations than their sub-consumers, so
+	// deciding in order of descending relation count decides every parent
+	// before its sub-consumers.
+	order := make([]int, len(st.consumers))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return popcount(st.consumers[order[a]].rels) > popcount(st.consumers[order[b]].rels)
+	})
+	evalRows := make([]float64, len(st.consumers))
+	for _, i := range order {
+		c := st.consumers[i]
+		bound := math.Inf(1)
+		for _, p := range c.parents {
+			bound = math.Min(bound, evalRows[p])
+		}
+		c.eager = !c.trivial && c.outWidth < c.inWidth && (c.whole || st.rows(at(c.rels)) <= bound)
+		switch {
+		case c.eager:
+			evalRows[i] = st.rows(at(c.rels))
+		case c.whole:
+			evalRows[i] = st.rows(full)
+		default:
+			evalRows[i] = bound
+		}
+	}
+}
+
+// home is the subset of the chosen join tree where a consumer over rels is
+// computed: the smallest subtree that covers rels.
+func (st *joinState) home(rels uint) uint {
+	s := uint(1)<<st.nrel - 1
+	for {
+		sp, ok := st.split[s]
+		switch {
+		case ok && sp[0]&rels == rels:
+			s = sp[0]
+		case ok && sp[1]&rels == rels:
+			s = sp[1]
+		default:
+			return s
+		}
+	}
+}
+
+// exprOver rebuilds consumer i over a node's schema: sub-consumers the node
+// already computes become references to their columns, and every other
+// column reference is remapped through comb.
+func (st *joinState) exprOver(i int, comb, computed map[int]int) (plan.Expr, error) {
+	c := st.consumers[i]
+	return plan.RemapWith(c.expr, comb, func(x plan.Expr) (plan.Expr, error) {
+		j, ok := c.subs[x]
+		if !ok {
+			return nil, nil
+		}
+		if pos, ok := computed[j]; ok {
+			return st.computedCol(j, pos), nil
+		}
+		return st.exprOver(j, comb, computed)
+	})
+}
+
+// computedCol references consumer ci's computed value at position pos.
+func (st *joinState) computedCol(ci, pos int) *plan.Col {
+	return &plan.Col{Idx: pos, Name: fmt.Sprintf("expr%d", ci), T: st.consumers[ci].expr.Type()}
 }
 
 func (st *joinState) maskOf(cols []int) uint {
@@ -303,37 +440,15 @@ func (st *joinState) rows(s uint) float64 {
 	return r
 }
 
-// eligible lists the consumers eager-computed within subset s: non-trivial,
-// fully covered, and width-shrinking.
-func (st *joinState) eligible(s uint) []int {
-	if e, ok := st.eligMemo[s]; ok {
-		return e
-	}
-	var out []int
-	if st.o.opts.EagerProjection {
-		for i, c := range st.consumers {
-			if c.trivial || c.rels == 0 || c.rels&s != c.rels {
-				continue
-			}
-			if c.outWidth < c.inWidth {
-				out = append(out, i)
-			}
-		}
-	}
-	st.eligMemo[s] = out
-	return out
-}
-
-// keepCols lists the global columns of s that must remain in s's output:
-// used by a conjunct not fully applied inside s, or by a consumer not
-// eager-computed inside s.
-func (st *joinState) keepCols(s uint) []int {
-	if k, ok := st.keepMemo[s]; ok {
-		return k
-	}
-	elig := map[int]bool{}
-	for _, i := range st.eligible(s) {
-		elig[i] = true
+// out gives the output of subset s: the columns of s that must remain —
+// used by a conjunct not fully applied inside s, or read by a consumer not
+// computed inside s — and the consumers s hands up computed. Walking down
+// from the whole consumers, a consumer that is eager and covered by s is
+// computed in s and hides its columns; any other reads its direct columns
+// and passes the walk on to its sub-consumers.
+func (st *joinState) out(s uint) *subsetOut {
+	if o, ok := st.outMemo[s]; ok {
+		return o
 	}
 	need := map[int]bool{}
 	for _, e := range st.edges {
@@ -356,22 +471,44 @@ func (st *joinState) keepCols(s uint) []int {
 			}
 		}
 	}
-	for i, cons := range st.consumers {
-		if elig[i] {
-			continue
+	computed := map[int]bool{}
+	visited := map[int]bool{}
+	var walk func(i int)
+	walk = func(i int) {
+		if visited[i] {
+			return
 		}
-		for _, c := range cons.cols {
+		visited[i] = true
+		cons := st.consumers[i]
+		if cons.eager && cons.rels&s == cons.rels {
+			computed[i] = true
+			return
+		}
+		for _, c := range cons.direct {
 			if st.inSubset(c, s) {
 				need[c] = true
 			}
 		}
+		for _, j := range cons.subs {
+			walk(j)
+		}
 	}
-	out := make([]int, 0, len(need))
-	for c := range need {
-		out = append(out, c)
+	for i, cons := range st.consumers {
+		if cons.whole {
+			walk(i)
+		}
 	}
-	sortIntsAsc(out)
-	st.keepMemo[s] = out
+	o := &subsetOut{keep: sortedKeys(need), computed: sortedKeys(computed)}
+	st.outMemo[s] = o
+	return o
+}
+
+func sortedKeys(m map[int]bool) []int {
+	out := make([]int, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Ints(out)
 	return out
 }
 
@@ -385,10 +522,11 @@ func (st *joinState) width(s uint) float64 {
 		return w
 	}
 	w := 0.0
-	for _, c := range st.keepCols(s) {
+	o := st.out(s)
+	for _, c := range o.keep {
 		w += st.o.colWidth(st.gcols[c].t)
 	}
-	for _, i := range st.eligible(s) {
+	for _, i := range o.computed {
 		w += st.consumers[i].outWidth
 	}
 	w += 8 // per-row overhead
@@ -578,20 +716,19 @@ func (st *joinState) buildLeaf(rel int, s uint) (plan.Node, map[int]int, map[int
 	return st.projectSubset(s, node, local, map[int]int{})
 }
 
-// projectSubset adds the projection for subset s over node: it keeps
-// keepCols(s), carries forward already-computed consumers, and computes the
-// newly eligible ones. comb maps global column ids to node schema positions;
-// childComputed maps consumer ids to node schema positions.
+// projectSubset adds the projection for subset s over node: it keeps the
+// subset's pass-through columns, carries forward already-computed consumers,
+// and computes the newly covered ones. comb maps global column ids to node
+// schema positions; childComputed maps consumer ids to node schema positions.
 func (st *joinState) projectSubset(s uint, node plan.Node, comb map[int]int, childComputed map[int]int) (plan.Node, map[int]int, map[int]int, error) {
-	keep := st.keepCols(s)
-	elig := st.eligible(s)
+	so := st.out(s)
 
 	var exprs []plan.Expr
 	var out plan.Schema
 	colmap := map[int]int{}
 	computed := map[int]int{}
 
-	for _, g := range keep {
+	for _, g := range so.keep {
 		pos, ok := comb[g]
 		if !ok {
 			return nil, nil, nil, fmt.Errorf("opt: keep column %d not present in subset output", g)
@@ -601,19 +738,18 @@ func (st *joinState) projectSubset(s uint, node plan.Node, comb map[int]int, chi
 		colmap[g] = len(out)
 		out = append(out, plan.Field{Name: gc.name, T: gc.t})
 	}
-	for _, ci := range elig {
-		name := fmt.Sprintf("expr%d", ci)
+	for _, ci := range so.computed {
 		if pos, ok := childComputed[ci]; ok {
-			exprs = append(exprs, &plan.Col{Idx: pos, Name: name, T: st.consumers[ci].expr.Type()})
+			exprs = append(exprs, st.computedCol(ci, pos))
 		} else {
-			e, err := plan.Remap(st.consumers[ci].expr, comb)
+			e, err := st.exprOver(ci, comb, childComputed)
 			if err != nil {
 				return nil, nil, nil, err
 			}
 			exprs = append(exprs, e)
 		}
 		computed[ci] = len(out)
-		out = append(out, plan.Field{Name: name, T: st.consumers[ci].expr.Type()})
+		out = append(out, plan.Field{Name: fmt.Sprintf("expr%d", ci), T: st.consumers[ci].expr.Type()})
 	}
 
 	// Skip the projection when it is a pure identity of the node schema.
@@ -639,12 +775,4 @@ func popcount(s uint) int {
 		n++
 	}
 	return n
-}
-
-func sortIntsAsc(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

@@ -300,7 +300,7 @@ func (o *Optimizer) cseProject(p *plan.Project) plan.Node {
 	for _, e := range p.Exprs {
 		e.Walk(func(x plan.Expr) {
 			if shareableExpr(x) {
-				key := x.String()
+				key := plan.Key(x)
 				counts[key]++
 				if _, ok := reps[key]; !ok {
 					reps[key] = x
@@ -357,7 +357,7 @@ func (o *Optimizer) cseProject(p *plan.Project) plan.Node {
 	exprs := make([]plan.Expr, len(p.Exprs))
 	for i, e := range p.Exprs {
 		exprs[i] = substituteExpr(e, func(x plan.Expr) plan.Expr {
-			if col, ok := shared[x.String()]; ok {
+			if col, ok := shared[plan.Key(x)]; ok {
 				return col
 			}
 			return nil
@@ -389,7 +389,8 @@ func laType(t types.T) bool {
 	return t.Base == types.Vector || t.Base == types.Matrix
 }
 
-// containsSubexpr reports whether key occurs as a proper subtree of e.
+// containsSubexpr reports whether key, a plan.Key, occurs as a proper
+// subtree of e.
 func containsSubexpr(e plan.Expr, key string) bool {
 	found := false
 	first := true
@@ -398,7 +399,7 @@ func containsSubexpr(e plan.Expr, key string) bool {
 			first = false // skip e itself
 			return
 		}
-		if !found && x.String() == key {
+		if !found && plan.Key(x) == key {
 			found = true
 		}
 	})

@@ -6,6 +6,7 @@ package plan
 
 import (
 	"fmt"
+	"strings"
 
 	"relalg/internal/builtins"
 	"relalg/internal/types"
@@ -271,6 +272,69 @@ func SameExpr(a, b Expr) bool {
 	return false
 }
 
+// Key identifies e's structure: expressions with equal keys compute the same
+// value on every row. Unlike String, it tells apart constants of different
+// kinds or bits (1, 1.0 and -0.0 print alike), nodes of different types,
+// and different scalar subqueries (each prints "(subquery)").
+func Key(e Expr) string {
+	var b strings.Builder
+	appendKey(&b, e)
+	return b.String()
+}
+
+func appendKey(b *strings.Builder, e Expr) {
+	switch x := e.(type) {
+	case *Col:
+		fmt.Fprintf(b, "#%d", x.Idx)
+	case *Const:
+		fmt.Fprintf(b, "const(%x)", value.AppendRow(nil, value.Row{x.V}))
+	case *ScalarSubquery:
+		fmt.Fprintf(b, "subquery(%p)", x)
+	case *Binary:
+		fmt.Fprintf(b, "%s%d(", x.Op, x.Kind)
+		appendKey(b, x.L)
+		b.WriteString(", ")
+		appendKey(b, x.R)
+		b.WriteString(")")
+	case *Not:
+		b.WriteString("NOT(")
+		appendKey(b, x.E)
+		b.WriteString(")")
+	case *Neg:
+		b.WriteString("-(")
+		appendKey(b, x.E)
+		b.WriteString(")")
+	case *Call:
+		b.WriteString(x.Fn.Name + "(")
+		for i, a := range x.Args {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			appendKey(b, a)
+		}
+		b.WriteString(")")
+	default:
+		// An expression type this function does not know equals only itself.
+		fmt.Fprintf(b, "%T(%p)", e, e)
+	}
+	fmt.Fprintf(b, ":%s", e.Type())
+}
+
+// Children returns e's direct subexpressions, the ones Walk visits after e.
+func Children(e Expr) []Expr {
+	switch x := e.(type) {
+	case *Binary:
+		return []Expr{x.L, x.R}
+	case *Not:
+		return []Expr{x.E}
+	case *Neg:
+		return []Expr{x.E}
+	case *Call:
+		return x.Args
+	}
+	return nil
+}
+
 // ColsUsed returns the sorted set of column indexes referenced by e.
 func ColsUsed(e Expr) []int {
 	seen := map[int]bool{}
@@ -301,6 +365,18 @@ func sortInts(xs []int) {
 // a planner bug; it is reported as an error so the engine can surface it to
 // the query instead of crashing the process.
 func Remap(e Expr, mapping map[int]int) (Expr, error) {
+	return RemapWith(e, mapping, nil)
+}
+
+// RemapWith is Remap, except that a subtree for which repl returns a non-nil
+// expression (or an error) is replaced by that result instead of remapped.
+// A nil repl replaces nothing.
+func RemapWith(e Expr, mapping map[int]int, repl func(Expr) (Expr, error)) (Expr, error) {
+	if repl != nil {
+		if r, err := repl(e); r != nil || err != nil {
+			return r, err
+		}
+	}
 	switch x := e.(type) {
 	case *Col:
 		idx, ok := mapping[x.Idx]
@@ -311,23 +387,23 @@ func Remap(e Expr, mapping map[int]int) (Expr, error) {
 	case *Const:
 		return x, nil
 	case *Binary:
-		l, err := Remap(x.L, mapping)
+		l, err := RemapWith(x.L, mapping, repl)
 		if err != nil {
 			return nil, err
 		}
-		r, err := Remap(x.R, mapping)
+		r, err := RemapWith(x.R, mapping, repl)
 		if err != nil {
 			return nil, err
 		}
 		return &Binary{Op: x.Op, Kind: x.Kind, L: l, R: r, T: x.T}, nil
 	case *Not:
-		inner, err := Remap(x.E, mapping)
+		inner, err := RemapWith(x.E, mapping, repl)
 		if err != nil {
 			return nil, err
 		}
 		return &Not{E: inner}, nil
 	case *Neg:
-		inner, err := Remap(x.E, mapping)
+		inner, err := RemapWith(x.E, mapping, repl)
 		if err != nil {
 			return nil, err
 		}
@@ -335,7 +411,7 @@ func Remap(e Expr, mapping map[int]int) (Expr, error) {
 	case *Call:
 		args := make([]Expr, len(x.Args))
 		for i, a := range x.Args {
-			ra, err := Remap(a, mapping)
+			ra, err := RemapWith(a, mapping, repl)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -239,3 +240,63 @@ func TestSameExpr(t *testing.T) {
 		}
 	}
 }
+
+// TestKey: Key equates exactly the expressions that compute the same value,
+// including ones String prints alike.
+func TestKey(t *testing.T) {
+	tr, _ := builtins.Lookup("trans_matrix")
+	plus := func(r *Const, typ types.T) *Binary {
+		return &Binary{Op: "+", Kind: BinArith, L: intCol(0), R: r, T: typ}
+	}
+	one := &Const{V: value.Int(1), T: types.TInt}
+	oneD := &Const{V: value.Double(1), T: types.TDouble}
+	zero := &Const{V: value.Double(0), T: types.TDouble}
+	negZero := &Const{V: value.Double(math.Copysign(0, -1)), T: types.TDouble}
+	sub1, sub2 := &ScalarSubquery{T: types.TDouble}, &ScalarSubquery{T: types.TDouble}
+	for _, c := range []struct {
+		a, b Expr
+		want bool
+	}{
+		{plus(one, types.TInt), plus(&Const{V: value.Int(1), T: types.TInt}, types.TInt), true},
+		{plus(one, types.TInt), plus(oneD, types.TDouble), false},
+		{zero, negZero, false},
+		{&Call{Fn: tr, Args: []Expr{intCol(2)}}, &Call{Fn: tr, Args: []Expr{&Col{Idx: 2, Name: "other", T: types.TInt}}}, true},
+		{sub1, sub1, true},
+		{sub1, sub2, false},
+		{&Binary{Op: "*", Kind: BinArith, L: intCol(0), R: sub1, T: types.TDouble},
+			&Binary{Op: "*", Kind: BinArith, L: intCol(0), R: sub2, T: types.TDouble}, false},
+		{&Neg{E: intCol(0), T: types.TInt}, &Not{E: intCol(0)}, false},
+	} {
+		if got := Key(c.a) == Key(c.b); got != c.want {
+			t.Errorf("Key(%s) == Key(%s) is %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
+}
+
+// TestRemapWith: replaced subtrees are not remapped, the rest are, and an
+// unknown expression type stays an error.
+func TestRemapWith(t *testing.T) {
+	fn, _ := builtins.Lookup("sqrt")
+	inner := &Call{Fn: fn, Args: []Expr{intCol(5)}, T: types.TDouble}
+	e := &Binary{Op: "+", Kind: BinArith, L: inner, R: intCol(1), T: types.TDouble}
+	if got := Children(e); len(got) != 2 || got[0] != inner {
+		t.Fatalf("Children = %v", got)
+	}
+	out, err := RemapWith(e, map[int]int{1: 0}, func(x Expr) (Expr, error) {
+		if x == inner {
+			return &Col{Idx: 1, Name: "sq", T: types.TDouble}, nil
+		}
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.String(); got != "(#1:sq + #0:c)" {
+		t.Fatalf("RemapWith = %s", got)
+	}
+	if _, err := RemapWith(&Binary{Op: "+", L: &unknownExpr{}, R: intCol(1)}, map[int]int{1: 0}, nil); err == nil {
+		t.Fatal("unknown expression type remapped without error")
+	}
+}
+
+type unknownExpr struct{ Col }

@@ -60,9 +60,10 @@ const (
 type Hooks struct {
 	// RunSpilled is called once per finished run with its file size.
 	RunSpilled func(bytes int64)
-	// TrackIO returns a stopwatch-stop function; it brackets run-file reads
-	// and writes so spill IO shows up as its own entry in the per-operator
-	// timing breakdown.
+	// TrackIO returns a stopwatch-stop function; it brackets every spill
+	// filesystem call — the temp directory's creation and removal, run-file
+	// create, open, read, write, close and remove — so spill IO shows up as
+	// its own entry in the per-operator timing breakdown.
 	TrackIO func() func()
 	// WriteFault, when set, is consulted once per run writer with the run's
 	// label and the owning task's attempt number; a non-nil return makes the
@@ -131,6 +132,7 @@ func (m *Manager) track() func() {
 func (m *Manager) newFile(label string) (*os.File, string, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	defer m.track()() // after the lock: waiting on it is not spill IO
 	if m.closed {
 		return nil, "", fmt.Errorf("spill: manager closed")
 	}
@@ -174,6 +176,7 @@ func (m *Manager) Close() error {
 	if m.dir == "" {
 		return nil
 	}
+	defer m.track()()
 	if err := os.RemoveAll(m.dir); err != nil {
 		return fmt.Errorf("spill: remove temp dir: %w", err)
 	}
@@ -204,8 +207,10 @@ func (m *Manager) NewWriterAt(label string, attempt int) (*Writer, error) {
 		w.fail = m.hooks.WriteFault(label, attempt)
 	}
 	if err := blockio.WriteHeader(w.bw, blockio.Header{Magic: runMagic, Version: runVersion}); err != nil {
+		stop := m.track()
 		_ = w.f.Close()
 		_ = os.Remove(path)
+		stop()
 		m.fileRemoved()
 		return nil, fmt.Errorf("spill: write run header: %w", err)
 	}
@@ -288,12 +293,15 @@ func (w *Writer) Finish() (*Run, error) {
 		_ = w.f.Close() // the write error is the actionable one
 		return nil, err
 	}
-	if err := w.bw.Flush(); err != nil {
-		_ = w.f.Close()
-		return nil, fmt.Errorf("spill: flush run: %w", err)
+	stop := w.m.track()
+	ferr := w.bw.Flush()
+	cerr := w.f.Close()
+	stop()
+	if ferr != nil {
+		return nil, fmt.Errorf("spill: flush run: %w", ferr)
 	}
-	if err := w.f.Close(); err != nil {
-		return nil, fmt.Errorf("spill: close run: %w", err)
+	if cerr != nil {
+		return nil, fmt.Errorf("spill: close run: %w", cerr)
 	}
 	if w.m.hooks.RunSpilled != nil {
 		w.m.hooks.RunSpilled(w.bytes)
@@ -307,8 +315,10 @@ func (w *Writer) Abort() error {
 		return nil
 	}
 	w.done = true
+	stop := w.m.track()
 	cerr := w.f.Close()
 	rerr := os.Remove(w.path)
+	stop()
 	w.m.fileRemoved()
 	if cerr != nil {
 		return fmt.Errorf("spill: abort run: %w", cerr)
@@ -330,6 +340,7 @@ type Run struct {
 // Reader opens the run for sequential reading. A run supports any number of
 // sequential read passes (each Reader is independent).
 func (r *Run) Reader() (*Reader, error) {
+	defer r.m.track()()
 	f, err := os.Open(r.path)
 	if err != nil {
 		return nil, fmt.Errorf("spill: open run: %w", err)
@@ -345,7 +356,10 @@ func (r *Run) Reader() (*Reader, error) {
 // Remove deletes the run file; the manager's Close catches anything the
 // operators forget, but operators remove runs eagerly to bound disk use.
 func (r *Run) Remove() error {
-	if err := os.Remove(r.path); err != nil {
+	stop := r.m.track()
+	err := os.Remove(r.path)
+	stop()
+	if err != nil {
 		return fmt.Errorf("spill: remove run: %w", err)
 	}
 	r.m.fileRemoved()
@@ -405,7 +419,10 @@ func (r *Reader) readBlock() (bool, error) {
 
 // Close closes the reader's file handle.
 func (r *Reader) Close() error {
-	if err := r.f.Close(); err != nil {
+	stop := r.m.track()
+	err := r.f.Close()
+	stop()
+	if err != nil {
 		return fmt.Errorf("spill: close reader: %w", err)
 	}
 	return nil

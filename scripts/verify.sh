@@ -2,8 +2,9 @@
 # verify.sh is the repo's full verification gate: build, vet, the
 # project-specific lalint analysis suite, the test suite, the race detector
 # over the concurrent packages (the simulated cluster, the executor, the
-# BLAS-like kernels, the server, and the benchmark harness that drives them),
-# the executor's golden-equivalence tests under the race detector, the
+# BLAS-like kernels, the server, the optimizer, whose rewrite counters
+# concurrent plan compilations share, and the benchmark harness that drives
+# them), the executor's golden-equivalence tests under the race detector, the
 # benchmark smokes (including the buffer-pool storage sweep and the optimizer
 # rewrite/adaptive-replan identity sweep), the end-to-end benchmark's own
 # tests (which pin its per-statement tuple, shuffle and spill counters), the
@@ -53,7 +54,7 @@ if [[ $BUILD_OK == 1 ]]; then
   gate "go vet" go vet ./...
   gate "lalint" go run ./cmd/lalint ./...
   gate "go test" go test -short ./...
-  gate "go test -race" go test -race ./internal/cluster/ ./internal/exec/ ./internal/linalg/ ./internal/bench/ ./internal/spill/ ./internal/fault/ ./internal/serve/ ./internal/core/
+  gate "go test -race" go test -race ./internal/cluster/ ./internal/exec/ ./internal/linalg/ ./internal/bench/ ./internal/spill/ ./internal/fault/ ./internal/serve/ ./internal/core/ ./internal/opt/
   gate "batch race" go test -race -run Batch -count=1 ./internal/core/ ./internal/exec/ ./internal/value/
   gate "storage race" go test -race -count=1 ./internal/storage/ ./internal/blockio/
   gate "kernel smoke" go run ./cmd/labench -kernels -smoke -out ""
